@@ -8,8 +8,13 @@ in-gap peak extractor and the kappa/(kappa^2+c) rate-law fit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -111,6 +116,73 @@ def conduction_window(mu_left: float, mu_right: float, gamma: float) -> tuple[fl
     return (mu_right - 0.5 * gamma, mu_left + 0.5 * gamma)
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Looked up on first use, through /proc/self/maps, so importing the
+    package costs nothing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # sweeps currently holding BLAS at one thread
+_pin_saved = 1  # the caller's thread count, restored by the last sweep out
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread until the last open sweep exits.
+
+    One thread per solve keeps pool workers from oversubscribing the cores
+    and makes the CSV bytes independent of --parallel and the core count.
+    The count is process-wide, so BLAS calls made on other threads while a
+    sweep runs are single-threaded too.
+    """
+    global _pin_depth, _pin_saved
+    threads = _openblas_threads()
+    if threads is None:
+        warnings.warn(
+            "no OpenBLAS thread control found: the last digits of sweep values "
+            "may depend on the thread layout",
+            RuntimeWarning,
+            stacklevel=5,
+        )
+        yield
+        return
+    get, put = threads
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
+
+
 def _run_sweep(
     cfg: RunConfig,
     axis_name: str,
@@ -153,11 +225,12 @@ def _run_sweep(
             seed = rho if warm_start else None
 
     workers = max(1, min(int(parallel), n))
-    if workers == 1:
-        run_rows(np.arange(n))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rows, np.array_split(np.arange(n), workers)))
+    with _one_blas_thread():
+        if workers == 1:
+            run_rows(np.arange(n))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_rows, np.array_split(np.arange(n), workers)))
 
     return SweepTable(
         axis_name=axis_name,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgesense.experiments import _openblas_threads
 from edgesense.lattice import build_ssh
 from edgesense.leads import RingLead, assemble_composite
 
@@ -29,3 +30,14 @@ def make_ssh_system(
 @pytest.fixture
 def small_system():
     return make_ssh_system()
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """Fail a test that leaves the OpenBLAS thread count other than it found it."""
+    blas = _openblas_threads()
+    before = blas[0]() if blas else None
+    yield
+    after = blas[0]() if blas else None
+    if after != before:
+        pytest.fail(f"OpenBLAS thread count changed from {before} to {after}")

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from edgesense.config import (
     parse_config,
     parse_config_dict,
 )
-from edgesense.experiments import CSV_HEADER_PREFIX, read_sweep_csv
+from edgesense.experiments import CSV_HEADER_PREFIX, _openblas_threads, read_sweep_csv
 from edgesense.master_eq import SolverMethod
 
 MU = math.pi / 40
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_raw(**extra):
@@ -331,14 +333,31 @@ class TestCli:
         assert fp(a) != fp(b)
 
     def test_parallel_output_is_byte_identical(self, tmp_path):
-        raw = base_raw(
+        small = base_raw(
             sweep={"axis": "delta", "range": [-0.2, 0.2], "step": 0.05}
         )
-        cfg = write_cfg(tmp_path, raw)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep-gate", "--config", cfg, "--out", str(a), "--parallel", "1"]) == 0
-        assert main(["sweep-gate", "--config", cfg, "--out", str(b), "--parallel", "4"]) == 0
-        assert (a / "sweep_gate.csv").read_bytes() == (b / "sweep_gate.csv").read_bytes()
+        # N = 140 is large enough for OpenBLAS to thread, so the caller's
+        # BLAS thread count would reach the 12th digit if sweeps used it.
+        fig1 = json.loads((CONFIGS / "fig1.json").read_text())
+        fig1["sweep"] = {"axis": "delta", "values": [-0.5, -0.25, 0.0, 0.25, 0.5]}
+        blas = _openblas_threads()
+        saved = blas[0]() if blas else None
+        try:
+            for name, raw in [("small", small), ("fig1", fig1)]:
+                cfg = write_cfg(tmp_path, raw, f"{name}.json")
+                csvs = set()
+                for threads in (1, 2) if blas else (None,):
+                    if blas:
+                        blas[1](threads)
+                    for parallel in ("1", "2", "4"):
+                        out = tmp_path / f"{name}-{threads}-{parallel}"
+                        argv = ["sweep-gate", "--config", cfg, "--out", str(out)]
+                        assert main(argv + ["--parallel", parallel]) == 0
+                        csvs.add((out / "sweep_gate.csv").read_bytes())
+                assert len(csvs) == 1, name
+        finally:
+            if blas:
+                blas[1](saved)
 
     def test_thread_count_resolution(self, monkeypatch):
         ns = lambda p: argparse.Namespace(parallel=p)

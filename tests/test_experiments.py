@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from edgesense import experiments
 from edgesense.config import parse_config_dict
 from edgesense.experiments import (
     CSV_HEADER_PREFIX,
@@ -296,3 +298,80 @@ class TestSweeps:
         assert pm is not None
         assert abs(pm.support[0] - win[0]) <= 0.01 + 1e-9
         assert abs(pm.support[1] - win[1]) <= 0.01 + 1e-9
+
+
+class TestSweepBlasThreads:
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS set to two threads for the test, the caller's count restored after."""
+        blas = experiments._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        get, put = blas
+        saved = get()
+        put(2)
+        yield get
+        put(saved)
+
+    def test_normal_sweep_restores_the_count(self, blas):
+        table = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], parallel=2)
+        assert table.extra_columns["converged"].all()
+        assert blas() == 2
+
+    def test_failing_sweep_restores_the_count(self, blas, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(experiments, "solve_steady_state", boom)
+        for parallel in (1, 2):
+            with pytest.raises(RuntimeError, match="boom"):
+                sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], parallel=parallel)
+            assert blas() == 2
+
+    def test_concurrent_sweeps_restore_the_count(self, blas, monkeypatch):
+        # Both sweeps start before either solves, and sweep-b's second solve
+        # waits until sweep-a has exited: it must still run on one thread.
+        solve = experiments.solve_steady_state
+        started = threading.Barrier(2, timeout=30)
+        a_done = threading.Event()
+        calls = {"sweep-a": 0, "sweep-b": 0}
+        seen = []
+
+        def solve_in_step(*args, **kwargs):
+            name = threading.current_thread().name
+            calls[name] += 1
+            if calls[name] == 1:
+                started.wait()
+            elif name == "sweep-b":
+                assert a_done.wait(timeout=30)
+            seen.append(blas())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_steady_state", solve_in_step)
+        tables = {}
+
+        def run():
+            name = threading.current_thread().name
+            try:
+                tables[name] = sweep_gate(small_cfg(), [0.0, 0.1])
+            finally:
+                if name == "sweep-a":
+                    a_done.set()
+
+        threads = [threading.Thread(target=run, name=name) for name in calls]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert sorted(tables) == ["sweep-a", "sweep-b"]
+        assert seen == [1, 1, 1, 1]
+        assert blas() == 2
+
+    def test_missing_blas_control_warns_once(self, monkeypatch):
+        expected = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1])
+        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        with pytest.warns(RuntimeWarning, match="thread layout") as record:
+            table = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], parallel=2)
+        assert len(record) == 1
+        assert_allclose(table.current, expected.current, rtol=1e-9)
