@@ -33,6 +33,39 @@ def base_raw(**extra):
     return raw
 
 
+# Exact fingerprints, pinned so that a change to how a config is resolved
+# or serialized (a key renamed, an int turned into a float) cannot pass
+# unnoticed.  The edge configs cover JSON integers where floats are usual,
+# the rhombic "arm" termination with a log sweep and a TimeMarch solver
+# block, and the smallest valid document.
+PINNED_FINGERPRINTS = {
+    "fig1": "c86d2b0b14552f7deb51a43ccba7c7839e2bdac4d38a031271dceca2fa286e9a",
+    "fig2": "f98f978a26fccf14d44cac65a6b44d2369b2ea2a7d3620f0291b5326b9d01455",
+    "fig3": "dcbc90f2e5892f32e0672af61c40660a9a3f2fc7787a25c9f80eda59883a0162",
+    "fig4": "dd5a5d4373f4cdde452056791d0f9d43d455a9e78317a7ff3d597c20df9f384a",
+    "integers": "d1d51be1f698d6aa7ce9c7f587e1a464acd5dcb63e401f0557883a12ca5edb53",
+    "rhombic-arm": "29246a9bf576adfa595c71144132419baf68778e6dcebee759a2dd1fadbe1c67",
+    "minimal": "320b83f2016fc0ee4769f2ae3b5f2a222f534bf98d4ecfc6f6a1423b2caf8e48",
+}
+EDGE_CONFIGS = {
+    "integers": {
+        "lattice": {"kind": "ssh", "L": 8, "J": 1, "J_tilde": 0.5},
+        "leads": {"M": 8, "gamma": 1},
+        "coupling": 1,
+        "decoherence": 0,
+        "sweep": {"axis": "delta", "values": [0, 1, 2]},
+    },
+    "rhombic-arm": {
+        "lattice": {"kind": "rhombic", "L": 3, "phi": 3, "termination": "arm"},
+        "leads": {"beta": 2.5, "mu_L": 0.1},
+        "decoherence": 0.01,
+        "solver": {"method": "TimeMarch", "dt": 0.1, "max_time": 100, "max_iters": 1000},
+        "sweep": {"axis": "kappa", "log_range": [0.001, 1], "points": 4},
+    },
+    "minimal": {"lattice": {"kind": "ssh"}},
+}
+
+
 def write_cfg(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -165,6 +198,14 @@ class TestFingerprint:
         assert a.fingerprint() != b.fingerprint()
         assert len(a.fingerprint()) == 64
         assert set(a.fingerprint()) <= set("0123456789abcdef")
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_pinned_fingerprints(self, name):
+        if name in EDGE_CONFIGS:
+            cfg = parse_config_dict(EDGE_CONFIGS[name])
+        else:
+            cfg = parse_config((CONFIGS / f"{name}.json").read_text())
+        assert cfg.fingerprint() == PINNED_FINGERPRINTS[name]
 
     def test_to_dict_round_trips(self):
         cfg = parse_config_dict(base_raw(sweep={"axis": "delta", "values": [0.1]}))
