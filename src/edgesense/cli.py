@@ -20,13 +20,14 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, apply_overrides, parse_config_dict
 from .experiments import (
-    CSV_HEADER_PREFIX,
     EsakiTsuFitError,
-    SweepTable,
+    _fmt,
+    _one_blas_thread,
     fit_esaki_tsu,
     read_sweep_csv,
     sweep_decoherence,
     sweep_gate,
+    write_artifact_csv,
     write_sweep_csv,
 )
 from .lattice import classify_edge_states, spectrum
@@ -37,8 +38,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
-
-_fmt = "{:.12g}".format
 
 
 def _emit_error(kind: str, message: str, **detail: object) -> None:
@@ -106,10 +105,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             )
     side = {r.eigen_index: r.side for r in reports}
 
-    lines = [f"{CSV_HEADER_PREFIX}{cfg.fingerprint()}", "index,energy,edge"]
-    for i, e in enumerate(energies):
-        lines.append(f"{i},{_fmt(e)},{side.get(i, '')}")
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    rows = ((i, e, side.get(i, "")) for i, e in enumerate(energies))
+    write_artifact_csv(out / "spectrum.csv", cfg.fingerprint(), ["index", "energy", "edge"], rows)
 
     wall = time.perf_counter() - t0
     print(
@@ -123,10 +120,11 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     t0 = time.perf_counter()
-    system = cfg.build_system()
-    rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)
-    profile = current_profile(rho, system)
-    pops = site_populations(rho, system)
+    with _one_blas_thread():
+        system = cfg.build_system()
+        rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)
+        profile = current_profile(rho, system)
+        pops = site_populations(rho, system)
     wall = time.perf_counter() - t0
     fingerprint = cfg.fingerprint()
 
@@ -148,13 +146,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     }
     (out / "steady_state.json").write_text(json.dumps(payload, sort_keys=True))
 
-    lines = [f"{CSV_HEADER_PREFIX}{fingerprint}", "cut,current"]
-    lines += [f"{label},{_fmt(j)}" for label, j in zip(profile.cut_labels, profile.currents)]
-    (out / "profile.csv").write_text("\n".join(lines) + "\n")
-
-    lines = [f"{CSV_HEADER_PREFIX}{fingerprint}", "site,population"]
-    lines += [f"{i},{_fmt(p)}" for i, p in enumerate(pops)]
-    (out / "populations.csv").write_text("\n".join(lines) + "\n")
+    cuts = zip(profile.cut_labels, profile.currents)
+    write_artifact_csv(out / "profile.csv", fingerprint, ["cut", "current"], cuts)
+    sites = enumerate(pops)
+    write_artifact_csv(out / "populations.csv", fingerprint, ["site", "population"], sites)
 
     print(f"steady: jbar={_fmt(profile.mean)} residual={diag.residual:.3e} wall={wall:.3f}s")
     return EXIT_OK
@@ -165,27 +160,10 @@ def _sweep_values(cfg: RunConfig, expected_axis: str, command: str) -> np.ndarra
         raise ConfigError(f"sweep: {command} needs a sweep section")
     if cfg.sweep.axis != expected_axis:
         raise ConfigError(f"sweep.axis: {command} expects '{expected_axis}'")
-    return cfg.sweep.materialize()
-
-
-def _write_table(table: SweepTable, cfg: RunConfig, out: Path, stem: str) -> Path:
-    if cfg.output.format == "json":
-        target = out / f"{stem}.json"
-        payload = {
-            "fingerprint": table.config_fingerprint,
-            "axis": table.axis_name,
-            "columns": {
-                "axis": [float(v) for v in table.axis_values],
-                "current": [float(v) for v in table.current],
-                "residual": [float(v) for v in table.residuals],
-                **{k: [float(x) for x in v] for k, v in table.extra_columns.items()},
-            },
-        }
-        target.write_text(json.dumps(payload, sort_keys=True))
-    else:
-        target = out / f"{stem}.csv"
-        write_sweep_csv(table, target)
-    return target
+    values = cfg.sweep.materialize()
+    if expected_axis == "kappa" and values.min() < 0:
+        raise ConfigError(f"sweep: kappa values must be non-negative, got {_fmt(values.min())}")
+    return values
 
 
 def _run_sweep_command(args: argparse.Namespace, axis: str, command: str) -> int:
@@ -199,7 +177,8 @@ def _run_sweep_command(args: argparse.Namespace, axis: str, command: str) -> int
         table = sweep_decoherence(cfg, values, parallel=_parallel(args))
     wall = time.perf_counter() - t0
 
-    target = _write_table(table, cfg, out, command.replace("-", "_"))
+    target = out / f"{command.replace('-', '_')}.csv"
+    write_sweep_csv(table, target)
     done = table.extra_columns["converged"]
     n_ok = int(done.sum())
     if n_ok == 0:

@@ -11,7 +11,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 import jsonschema
@@ -134,7 +134,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "additionalProperties": False,
             "properties": {
                 "path": {"type": "string", "minLength": 1},
-                "format": {"enum": ["csv", "json"]},
+                "format": {"const": "csv"},
             },
         },
     },
@@ -160,22 +160,8 @@ class LatticeSettings:
     termination: str = "hub"
 
     def to_dict(self) -> dict[str, Any]:
-        if self.kind == "ssh":
-            return {
-                "kind": "ssh",
-                "L": self.L,
-                "J": self.J,
-                "J_tilde": self.J_tilde,
-                "delta": self.delta,
-            }
-        return {
-            "kind": "rhombic",
-            "L": self.L,
-            "J_abs": self.J_abs,
-            "phi": self.phi,
-            "delta": self.delta,
-            "termination": self.termination,
-        }
+        foreign = _RHOMBIC_ONLY if self.kind == "ssh" else _SSH_ONLY
+        return {k: v for k, v in asdict(self).items() if k not in foreign}
 
     def build(self, gate: float | None = None) -> Lattice:
         gate = self.delta if gate is None else float(gate)
@@ -196,14 +182,7 @@ class LeadSettings:
     gamma: float = 0.05
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "M": self.M,
-            "J_lead": self.J_lead,
-            "mu_L": self.mu_L,
-            "mu_R": self.mu_R,
-            "beta": "inf" if math.isinf(self.beta) else self.beta,
-            "gamma": self.gamma,
-        }
+        return {**asdict(self), "beta": "inf" if math.isinf(self.beta) else self.beta}
 
     def build(self) -> tuple[RingLead, RingLead]:
         left = RingLead(
@@ -236,20 +215,19 @@ class SweepSettings:
         return np.logspace(math.log10(lo), math.log10(hi), self.points)
 
     def to_dict(self) -> dict[str, Any]:
-        if self.values is not None:
-            return {"axis": self.axis, "values": list(self.values)}
-        if self.span is not None:
-            return {"axis": self.axis, "range": list(self.span), "step": self.step}
-        return {"axis": self.axis, "log_range": list(self.log_span), "points": self.points}
+        """The schema's spelling: unset fields dropped, spans as "range" lists."""
+        keys = {"span": "range", "log_span": "log_range"}
+        return {
+            keys.get(k, k): list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(self).items()
+            if v is not None
+        }
 
 
 @dataclass(frozen=True)
 class OutputSettings:
     path: str = "."
     format: str = "csv"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"path": self.path, "format": self.format}
 
 
 @dataclass(frozen=True)
@@ -270,21 +248,10 @@ class RunConfig:
         return assemble_composite(self.build_lattice(gate), left, right, self.coupling)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "lattice": self.lattice.to_dict(),
-            "leads": self.leads.to_dict(),
-            "coupling": self.coupling,
-            "decoherence": self.decoherence,
-            "solver": {
-                "method": self.solver.method.value,
-                "dt": self.solver.dt,
-                "residual_tol": self.solver.residual_tol,
-                "max_time": self.solver.max_time,
-                "max_iters": self.solver.max_iters,
-                "step_tol": self.solver.step_tol,
-            },
-            "output": self.output.to_dict(),
-        }
+        out = asdict(self)
+        out.update(lattice=self.lattice.to_dict(), leads=self.leads.to_dict())
+        out["solver"]["method"] = self.solver.method.value
+        del out["sweep"]
         if self.sweep is not None:
             out["sweep"] = self.sweep.to_dict()
         return out
@@ -351,16 +318,13 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
         if sweep.span is not None and sweep.span[1] < sweep.span[0]:
             raise ConfigError("sweep.range: upper bound below lower bound")
 
-    output = OutputSettings(**raw.get("output", {}))
-
     return RunConfig(
         lattice=lattice,
         leads=leads,
-        coupling=float(raw.get("coupling", 0.2)),
-        decoherence=float(raw.get("decoherence", 0.0)),
         solver=solver,
         sweep=sweep,
-        output=output,
+        output=OutputSettings(**raw.get("output", {})),
+        **{k: float(raw[k]) for k in ("coupling", "decoherence") if k in raw},
     )
 
 

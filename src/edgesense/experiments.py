@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "sweep_decoherence",
     "peak_metrics",
     "fit_esaki_tsu",
+    "write_artifact_csv",
     "write_sweep_csv",
     "read_sweep_csv",
 ]
@@ -90,18 +91,6 @@ class SweepTable:
             return self.residuals
         return self.extra_columns[name]
 
-    def restrict(self, lo: float, hi: float) -> "SweepTable":
-        """Rows with lo <= axis <= hi, order preserved."""
-        keep = (self.axis_values >= lo) & (self.axis_values <= hi)
-        return SweepTable(
-            axis_name=self.axis_name,
-            axis_values=self.axis_values[keep],
-            current=self.current[keep],
-            residuals=self.residuals[keep],
-            extra_columns={k: v[keep] for k, v in self.extra_columns.items()},
-            config_fingerprint=self.config_fingerprint,
-        )
-
 
 def conduction_window(mu_left: float, mu_right: float, gamma: float) -> tuple[float, float]:
     """Energy interval a level must sit in to carry resonant current.
@@ -144,24 +133,25 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 
 _pin_lock = threading.Lock()
-_pin_depth = 0  # sweeps currently holding BLAS at one thread
-_pin_saved = 1  # the caller's thread count, restored by the last sweep out
+_pin_depth = 0  # sweeps and solves currently holding BLAS at one thread
+_pin_saved = 1  # the caller's thread count, restored by the last one out
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run OpenBLAS on one thread until the last open sweep exits.
+    """Run OpenBLAS on one thread until the last open holder exits.
 
-    One thread per solve keeps pool workers from oversubscribing the cores
-    and makes the CSV bytes independent of --parallel and the core count.
-    The count is process-wide, so BLAS calls made on other threads while a
-    sweep runs are single-threaded too.
+    Sweeps and the CLI's single solve hold it.  One thread per solve keeps
+    pool workers from oversubscribing the cores and makes the output bytes
+    independent of --parallel and the core count.  The count is
+    process-wide, so BLAS calls made on other threads while it is held are
+    single-threaded too.
     """
     global _pin_depth, _pin_saved
     threads = _openblas_threads()
     if threads is None:
         warnings.warn(
-            "no OpenBLAS thread control found: the last digits of sweep values "
+            "no OpenBLAS thread control found: the last digits of the results "
             "may depend on the thread layout",
             RuntimeWarning,
             stacklevel=5,
@@ -473,15 +463,25 @@ def fit_esaki_tsu(table: SweepTable) -> EsakiTsuFit:
     return EsakiTsuFit(a=a, c=c, relative_residual=math.sqrt(sse) / norm)
 
 
+def write_artifact_csv(
+    path: str | Path, fingerprint: str, names: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write a CSV artifact: fingerprint header, column names, one line per row.
+
+    Strings and ints are written as they are, every other cell as a float
+    with 12 significant digits.
+    """
+    lines = [f"{CSV_HEADER_PREFIX}{fingerprint}", ",".join(names)]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (str, int)) else _fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Write a sweep as CSV: fingerprint header, column names, 12-digit rows."""
-    lines = [f"{CSV_HEADER_PREFIX}{table.config_fingerprint}"]
-    lines.append(",".join(["axis", "current", "residual", *table.extra_columns]))
-    columns = [table.axis_values, table.current, table.residuals]
-    columns += list(table.extra_columns.values())
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    names = ["axis", "current", "residual", *table.extra_columns]
+    columns = [table.axis_values, table.current, table.residuals, *table.extra_columns.values()]
+    write_artifact_csv(path, table.config_fingerprint, names, zip(*columns))
 
 
 def read_sweep_csv(path: str | Path, axis_name: str = "axis") -> SweepTable:

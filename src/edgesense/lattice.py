@@ -11,8 +11,6 @@ gaps at +-J/sqrt(2).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -362,39 +360,3 @@ def classify_edge_states(
         )
     return reports
 
-
-def lattice_to_json(lat: Lattice) -> str:
-    """Serialize a lattice; the matrix is stored row-major as [re, im] pairs."""
-    flat = lat.hamiltonian.reshape(-1)
-    payload = {
-        "kind": lat.kind,
-        "n_sites": lat.n_sites,
-        "delta": lat.gate_offset,
-        "params": lat.params,
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def lattice_from_json(text: str) -> Lattice:
-    payload = json.loads(text)
-    n = int(payload["n_sites"])
-    flat = np.array([complex(re, im) for re, im in payload["matrix"]])
-    if flat.size != n * n:
-        raise ValueError("matrix length does not match n_sites")
-    h = flat.reshape(n, n)
-    gate = float(payload["delta"])
-    hop = h - gate * np.eye(n)
-    np.fill_diagonal(hop, 0.0)
-    lat = build_custom(hop, gate=gate)
-    lat.kind = payload.get("kind", "custom")
-    lat.params = payload.get("params", {})
-    return lat
-
-
-def spectrum_to_csv(energies: np.ndarray) -> str:
-    """Render the spectrum as 'index,energy' rows."""
-    lines = ["index,energy"]
-    for i, e in enumerate(energies):
-        lines.append(f"{i},{e:.12g}")
-    return "\n".join(lines) + "\n"

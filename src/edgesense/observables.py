@@ -90,11 +90,6 @@ def population_gradient(populations: np.ndarray, window: float = 0.6) -> float:
     return float(slope)
 
 
-def transport_regime(slope: float, n_sites: int, threshold: float = 0.05) -> str:
-    """Classify a population slope: |slope| < threshold/n_sites is 'weak'."""
-    return "weakly diffusive" if abs(slope) < threshold / n_sites else "strongly diffusive"
-
-
 def edge_imbalance(populations: np.ndarray, k: int = 2) -> float:
     """Mean population of the first k sites minus the mean of the last k."""
     pops = np.asarray(populations, dtype=float)

@@ -317,6 +317,15 @@ class TestCli:
         assert err["error"] == "config"
         assert "sweep.axis" in err["message"]
 
+    def test_negative_kappa_sweep_rejected(self, tmp_path, capsys):
+        raw = base_raw(sweep={"axis": "kappa", "range": [-0.01, 0.01], "step": 0.01})
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["sweep-kappa", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith("sweep")
+        assert "non-negative" in err["message"]
+
     def test_sweep_section_required(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, base_raw())
         assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -396,6 +405,17 @@ class TestCli:
                         assert main(argv + ["--parallel", parallel]) == 0
                         csvs.add((out / "sweep_gate.csv").read_bytes())
                 assert len(csvs) == 1, name
+            # steady holds BLAS at one thread too, so its CSVs match as well
+            cfg = write_cfg(tmp_path, fig1, "fig1.json")
+            steady = set()
+            for threads in (1, 2) if blas else (None,):
+                if blas:
+                    blas[1](threads)
+                out = tmp_path / f"steady-{threads}"
+                assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+                files = ("profile.csv", "populations.csv")
+                steady.add(tuple((out / f).read_bytes() for f in files))
+            assert len(steady) == 1
         finally:
             if blas:
                 blas[1](saved)
@@ -412,24 +432,18 @@ class TestCli:
         monkeypatch.setenv("EDGESENSE_THREADS", "abc")
         assert _parallel(ns(None)) == 1
 
-    def test_json_output_format(self, tmp_path):
+    def test_json_output_format_rejected(self, tmp_path, capsys):
+        # sweeps are written as CSV only, the one format fit reads back
         raw = base_raw(
             sweep={"axis": "delta", "values": [0.0, 0.1]},
             output={"format": "json"},
         )
         cfg = write_cfg(tmp_path, raw)
-        assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        payload = json.loads((tmp_path / "o" / "sweep_gate.json").read_text())
-        assert payload["axis"] == "delta"
-        assert set(payload["columns"]) == {
-            "axis",
-            "current",
-            "residual",
-            "imbalance",
-            "gradient",
-            "converged",
-        }
-        assert len(payload["columns"]["current"]) == 2
+        assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "output.format" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_output_path_from_config(self, tmp_path):
         raw = base_raw(output={"path": str(tmp_path / "from_cfg")})

@@ -82,13 +82,6 @@ class TestSweepTable:
         with pytest.raises(KeyError):
             t.column("nope")
 
-    def test_restrict_is_inclusive(self):
-        t = triangle_table()
-        sub = t.restrict(-0.1, 0.1)
-        assert_allclose(sub.axis_values, [-0.1, -0.05, 0.0, 0.05, 0.1], atol=1e-12)
-        assert sub.n_rows == 5
-        assert sub.axis_name == "delta"
-
 
 class TestPeakMetrics:
     def test_triangle_peak_exact(self):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,10 +10,7 @@ from edgesense.lattice import (
     build_rhombic,
     build_ssh,
     classify_edge_states,
-    lattice_from_json,
-    lattice_to_json,
     spectrum,
-    spectrum_to_csv,
 )
 
 # Decay length of the dimerized edge state: |psi|^2 drops by (0.5/1.0)^2 per
@@ -211,25 +207,6 @@ class TestGenericLattice:
         assert_allclose(states.conj().T @ states, np.eye(lat.n_sites), atol=1e-12)
         resid = lat.hamiltonian @ states - states * energies[None, :]
         assert np.abs(resid).max() < 1e-10
-
-    def test_json_round_trip(self):
-        lat = build_rhombic(4, 0.9, 1.7, gate=0.05)
-        clone = lattice_from_json(lattice_to_json(lat))
-        assert clone.kind == lat.kind
-        assert clone.n_sites == lat.n_sites
-        assert clone.gate_offset == lat.gate_offset
-        assert clone.params == lat.params
-        assert_allclose(clone.hamiltonian, lat.hamiltonian, atol=0)
-
-    def test_json_rejects_length_mismatch(self):
-        payload = json.loads(lattice_to_json(build_ssh(4, 0.5, 1.0)))
-        payload["matrix"] = payload["matrix"][:-1]
-        with pytest.raises(ValueError, match="does not match"):
-            lattice_from_json(json.dumps(payload))
-
-    def test_spectrum_csv_format(self):
-        text = spectrum_to_csv(np.array([-0.5, 0.25]))
-        assert text == "index,energy\n0,-0.5\n1,0.25\n"
 
     def test_validate_rejects_tampered_matrix(self):
         lat = build_ssh(4, 0.5, 1.0)

@@ -11,7 +11,6 @@ from edgesense.observables import (
     edge_imbalance,
     population_gradient,
     site_populations,
-    transport_regime,
 )
 
 from conftest import make_ssh_system
@@ -104,12 +103,6 @@ class TestPopulations:
             population_gradient(pops, window=1.5)
         with pytest.raises(ValueError, match="4 sites"):
             population_gradient(np.ones(3), window=1.0)
-
-    def test_transport_regime_threshold(self):
-        assert transport_regime(1e-4, 60) == "weakly diffusive"
-        assert transport_regime(0.01, 60) == "strongly diffusive"
-        assert transport_regime(-0.01, 60) == "strongly diffusive"
-        assert transport_regime(0.002, 60, threshold=0.5) == "weakly diffusive"
 
     def test_edge_imbalance(self):
         assert_allclose(edge_imbalance(np.array([1.0, 1.0, 0.0, 0.0])), 1.0, atol=0)
