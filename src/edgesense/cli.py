@@ -247,8 +247,15 @@ def _add_common(parser: argparse.ArgumentParser, *, config_required: bool) -> No
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so main emits it as an input error."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgesense",
         description="Steady-state transport through finite lattices with edge states",
     )
@@ -279,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as err:
         _emit_error("config", str(err))

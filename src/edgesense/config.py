@@ -11,7 +11,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable
 
 import jsonschema
@@ -118,14 +118,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "method": {
-                    "enum": ["SylvesterIteration", "TimeMarch", "FullLinearSolve"]
-                },
-                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "method": {"enum": ["SylvesterIteration", "FullLinearSolve"]},
                 "residual_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_time": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "step_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "sweep": {"oneOf": _SWEEP_VARIANTS},
@@ -271,6 +265,16 @@ def _first_schema_error(raw: dict[str, Any]) -> str | None:
     return f"{path}: {best.message}"
 
 
+def _settings(cls: type, raw: dict[str, Any]) -> Any:
+    """Build a settings dataclass with its float fields cast to float.
+
+    JSON spells 1 and 1.0 differently; the cast keeps both, and the
+    default, to one fingerprint.
+    """
+    floats = {f.name for f in fields(cls) if f.type in ("float", float)}
+    return cls(**{k: float(v) if k in floats else v for k, v in raw.items()})
+
+
 def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) -> RunConfig:
     """Validate a decoded config document and materialize all defaults."""
     if not isinstance(raw, dict):
@@ -288,12 +292,12 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
     lat_raw.setdefault("L", 60 if kind == "ssh" else 15)
     if kind == "ssh" and lat_raw["L"] % 2:
         raise ConfigError("lattice.L: ssh chains need an even number of sites")
-    lattice = LatticeSettings(**lat_raw)
+    lattice = _settings(LatticeSettings, lat_raw)
 
     leads_raw = dict(raw.get("leads", {}))
     if leads_raw.get("beta") == "inf":
         leads_raw["beta"] = math.inf
-    leads = LeadSettings(**leads_raw)
+    leads = _settings(LeadSettings, leads_raw)
     if leads.mu_L < leads.mu_R and not allow_reverse_bias:
         raise ConfigError(
             "leads.mu_L < leads.mu_R: reverse bias requires --allow-reverse-bias"
@@ -302,17 +306,17 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
     solver_raw = dict(raw.get("solver", {}))
     if "method" in solver_raw:
         solver_raw["method"] = SolverMethod(solver_raw["method"])
-    solver = SolverConfig(**solver_raw)
+    solver = _settings(SolverConfig, solver_raw)
 
     sweep = None
     if "sweep" in raw:
         sw = raw["sweep"]
         sweep = SweepSettings(
             axis=sw["axis"],
-            values=tuple(float(v) for v in sw["values"]) if "values" in sw else None,
-            span=tuple(sw["range"]) if "range" in sw else None,
-            step=sw.get("step"),
-            log_span=tuple(sw["log_range"]) if "log_range" in sw else None,
+            values=tuple(map(float, sw["values"])) if "values" in sw else None,
+            span=tuple(map(float, sw["range"])) if "range" in sw else None,
+            step=float(sw["step"]) if "step" in sw else None,
+            log_span=tuple(map(float, sw["log_range"])) if "log_range" in sw else None,
             points=sw.get("points"),
         )
         if sweep.span is not None and sweep.span[1] < sweep.span[0]:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .master_eq import SPDM, SolverError, solve_steady_state
+from .master_eq import SolverError, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -180,7 +180,6 @@ def _run_sweep(
     make_system: Callable[[int], object],
     kappa_of: Callable[[int], float],
     parallel: int,
-    warm_start: bool,
     edge_sites: int,
 ) -> SweepTable:
     axis = np.asarray(values, dtype=float)
@@ -194,33 +193,29 @@ def _run_sweep(
     gradient = np.full(n, np.nan)
     converged = np.zeros(n)
 
-    def run_rows(rows: np.ndarray) -> None:
-        # rows of one chunk run in order so the warm start stays contiguous
-        seed = None
-        for i in rows:
-            system = make_system(int(i))
-            try:
-                rho, diag = solve_steady_state(system, kappa_of(int(i)), cfg.solver, rho0=seed)
-            except SolverError as err:
-                if err.diagnostics is not None:
-                    residual[i] = err.diagnostics.residual
-                seed = None
-                continue
-            current[i] = current_profile(rho, system).mean
-            residual[i] = diag.residual
-            pops = site_populations(rho, system)
-            imbalance[i] = edge_imbalance(pops, edge_sites)
-            gradient[i] = population_gradient(pops)
-            converged[i] = 1.0
-            seed = rho if warm_start else None
+    def run_row(i: int) -> None:
+        system = make_system(i)
+        try:
+            rho, diag = solve_steady_state(system, kappa_of(i), cfg.solver)
+        except SolverError as err:
+            if err.diagnostics is not None:
+                residual[i] = err.diagnostics.residual
+            return
+        current[i] = current_profile(rho, system).mean
+        residual[i] = diag.residual
+        pops = site_populations(rho, system)
+        imbalance[i] = edge_imbalance(pops, edge_sites)
+        gradient[i] = population_gradient(pops)
+        converged[i] = 1.0
 
     workers = max(1, min(int(parallel), n))
     with _one_blas_thread():
         if workers == 1:
-            run_rows(np.arange(n))
+            for i in range(n):
+                run_row(i)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_rows, np.array_split(np.arange(n), workers)))
+                list(pool.map(run_row, range(n)))
 
     return SweepTable(
         axis_name=axis_name,
@@ -238,7 +233,6 @@ def sweep_gate(
     kappa: float | None = None,
     *,
     parallel: int = 1,
-    warm_start: bool = True,
     edge_sites: int = 2,
 ) -> SweepTable:
     """Steady current versus gate offset at fixed decoherence rate."""
@@ -251,7 +245,6 @@ def sweep_gate(
         make_system=lambda i: cfg.build_system(gate=float(gates[i])),
         kappa_of=lambda i: kap,
         parallel=parallel,
-        warm_start=warm_start,
         edge_sites=edge_sites,
     )
 
@@ -262,7 +255,6 @@ def sweep_decoherence(
     delta: float | None = None,
     *,
     parallel: int = 1,
-    warm_start: bool = True,
     edge_sites: int = 2,
 ) -> SweepTable:
     """Steady current versus decoherence rate at fixed gate offset."""
@@ -275,7 +267,6 @@ def sweep_decoherence(
         make_system=lambda i: system,
         kappa_of=lambda i: float(kap[i]),
         parallel=parallel,
-        warm_start=warm_start,
         edge_sites=edge_sites,
     )
 
@@ -493,10 +484,20 @@ def read_sweep_csv(path: str | Path, axis_name: str = "axis") -> SweepTable:
     names = lines[1].split(",")
     if names[:3] != ["axis", "current", "residual"]:
         raise ValueError(f"{path}: unexpected column layout {names[:3]}")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[2:] if line]
+    rows = []
+    for number, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ValueError(
+                f"{path}, line {number}: ragged row, {len(cells)} cells for {len(names)} columns"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as err:
+            raise ValueError(f"{path}, line {number}: {err}") from err
     data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(names):
-        raise ValueError(f"{path}: ragged rows")
     extras = {name: data[:, i] for i, name in enumerate(names) if i >= 3}
     return SweepTable(
         axis_name=axis_name,

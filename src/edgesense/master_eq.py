@@ -8,17 +8,18 @@ N x N single-particle density matrix rho:
                  + gamma * target + kappa * diag_lattice(rho)
 
 with Delta the diagonal half-rate matrix (gamma/2 on lead indices,
-kappa/2 on lattice indices).  Three steady-state routes are provided:
+kappa/2 on lattice indices).  Two steady-state routes are provided:
 
 * ``SylvesterIteration`` (default): one eigendecomposition of
   A = iH + Delta turns every solve of A rho + rho A^dag = S into two
   basis rotations.  The dephasing back-feed only couples to the lattice
   diagonal, so its fixed point is pinned down exactly by one small
   linear solve over that diagonal.
-* ``TimeMarch``: adaptive Runge-Kutta propagation until the residual
-  settles; robust reference for awkward parameter corners.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
+
+``propagate`` integrates the same equation of motion over a finite time,
+for the transient.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ DENOMINATOR_GUARD = 1e-12
 
 
 class SolverMethod(str, enum.Enum):
-    TIME_MARCH = "TimeMarch"
     SYLVESTER = "SylvesterIteration"
     FULL_LINEAR = "FullLinearSolve"
 
@@ -46,17 +46,11 @@ class SolverMethod(str, enum.Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     method: SolverMethod = SolverMethod.SYLVESTER
-    dt: float = 0.05             # initial step for time marching
     residual_tol: float = 1e-9   # in units of max(1, |target|_inf)
-    max_time: float = 1e6        # time-march horizon before giving up
-    max_iters: int = 2_000_000   # cap on accepted+rejected RK steps
-    step_tol: float = 1e-10      # local truncation error target per step
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.residual_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("dt, residual_tol and step_tol must be positive")
-        if self.max_time <= 0 or self.max_iters < 1:
-            raise ValueError("max_time and max_iters must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
 
 
 @dataclass
@@ -156,22 +150,29 @@ def propagate(
     rho0: SPDM,
     kappa: float,
     t_final: float,
-    cfg: SolverConfig | None = None,
+    *,
+    dt: float = 0.05,
+    step_tol: float = 1e-10,
+    max_iters: int = 2_000_000,
 ) -> SPDM:
     """Propagate rho0 forward by t_final with an adaptive embedded RK5(4).
 
-    Hermiticity is restored after every accepted step.  Raises SolverError
-    on step underflow or once cfg.max_iters step attempts are exhausted.
+    dt is the first step, step_tol the local truncation error allowed per
+    step (relative to max(1, |rho|_inf)) and max_iters the cap on accepted
+    plus rejected steps.  Hermiticity is restored after every accepted
+    step.  Raises SolverError on step underflow or once max_iters step
+    attempts are exhausted.
     """
-    cfg = cfg or SolverConfig()
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    if dt <= 0 or step_tol <= 0 or max_iters < 1:
+        raise ValueError("dt, step_tol and max_iters must be positive")
     m = _as_matrix(rho0).astype(complex).copy()
     if t_final == 0:
         return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time)
 
     t = 0.0
-    dt = min(cfg.dt, t_final)
+    dt = min(dt, t_final)
     dt_floor = 1e-13 * max(1.0, t_final)
     attempts = 0
     while t < t_final:
@@ -185,7 +186,7 @@ def propagate(
         m5 = m + dt * sum(b * ki for b, ki in zip(_CK_B5, k))
         m4 = m + dt * sum(b * ki for b, ki in zip(_CK_B4, k))
         err = float(np.abs(m5 - m4).max())
-        tol = cfg.step_tol * max(1.0, float(np.abs(m).max()))
+        tol = step_tol * max(1.0, float(np.abs(m).max()))
         if err <= tol:
             m = 0.5 * (m5 + m5.conj().T)
             t += dt
@@ -194,64 +195,12 @@ def propagate(
         if dt < dt_floor:
             raise SolverError(
                 f"step underflow at t={t:.6g} (dt={dt:.3e}); the generator may be stiff "
-                f"beyond what step_tol={cfg.step_tol:.1e} allows"
+                f"beyond what step_tol={step_tol:.1e} allows"
             )
         attempts += 1
-        if attempts > cfg.max_iters:
-            raise SolverError(f"exceeded max_iters={cfg.max_iters} RK step attempts")
+        if attempts > max_iters:
+            raise SolverError(f"exceeded max_iters={max_iters} RK step attempts")
     return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
-
-
-def _solve_time_march(
-    sys: CompositeSystem,
-    kappa: float,
-    cfg: SolverConfig,
-    rho0: SPDM | None,
-) -> tuple[np.ndarray, int, float, list[str]]:
-    state = SPDM(
-        matrix=(_as_matrix(rho0).astype(complex).copy() if rho0 is not None else sys.target.copy()),
-        index_map=sys.index_map,
-    )
-    tol = cfg.residual_tol
-    # the per-step error floor must sit well below the residual target
-    march_cfg = cfg
-    if cfg.step_tol > tol / 100.0:
-        march_cfg = SolverConfig(
-            method=cfg.method,
-            dt=cfg.dt,
-            residual_tol=cfg.residual_tol,
-            max_time=cfg.max_time,
-            max_iters=cfg.max_iters,
-            step_tol=tol / 100.0,
-        )
-    block = 20.0
-    elapsed = 0.0
-    iterations = 0
-    best = np.inf
-    stalled = 0
-    res = _residual(sys, state.matrix, kappa)
-    while res > tol:
-        if elapsed >= cfg.max_time:
-            raise SolverError(
-                f"time march did not reach residual {tol:.1e} within t={cfg.max_time:.3g} "
-                f"(residual {res:.3e})",
-                SolveDiagnostics(SolverMethod.TIME_MARCH, iterations, res, 0.0, False),
-            )
-        span = min(block, cfg.max_time - elapsed)
-        state = propagate(sys, state, kappa, span, march_cfg)
-        elapsed += span
-        block = min(block * 1.6, 400.0)
-        iterations += 1
-        res = _residual(sys, state.matrix, kappa)
-        stalled = stalled + 1 if res > 0.995 * best else 0
-        best = min(best, res)
-        if stalled >= 4:
-            raise SolverError(
-                f"time march stalled at residual {res:.3e} > {tol:.1e}; "
-                f"tighten step_tol or switch methods",
-                SolveDiagnostics(SolverMethod.TIME_MARCH, iterations, res, 0.0, False),
-            )
-    return state.matrix, iterations, res, []
 
 
 class _SylvesterFactorization:
@@ -376,13 +325,11 @@ def solve_steady_state(
     sys: CompositeSystem,
     kappa: float,
     cfg: SolverConfig | None = None,
-    rho0: SPDM | None = None,
 ) -> tuple[SPDM, SolveDiagnostics]:
     """Find the stationary density matrix of the driven composite system.
 
     Raises SolverError if the method finishes without meeting
     cfg.residual_tol (measured as |d rho/dt|_inf over max(1, |target|_inf)).
-    rho0 seeds the time march only; the direct methods ignore it.
     """
     cfg = cfg or SolverConfig()
     if kappa < 0:
@@ -395,9 +342,7 @@ def solve_steady_state(
         )
 
     start = time.perf_counter()
-    if cfg.method == SolverMethod.TIME_MARCH:
-        m, iters, res, notes = _solve_time_march(sys, kappa, cfg, rho0)
-    elif cfg.method == SolverMethod.SYLVESTER:
+    if cfg.method == SolverMethod.SYLVESTER:
         m, iters, res, notes = _solve_sylvester(sys, kappa, cfg)
     elif cfg.method == SolverMethod.FULL_LINEAR:
         m, iters, res, notes = _solve_full_linear(sys, kappa, cfg)

@@ -34,18 +34,18 @@ def base_raw(**extra):
 
 
 # Exact fingerprints, pinned so that a change to how a config is resolved
-# or serialized (a key renamed, an int turned into a float) cannot pass
+# or serialized (a key renamed, a float field kept as an int) cannot pass
 # unnoticed.  The edge configs cover JSON integers where floats are usual,
-# the rhombic "arm" termination with a log sweep and a TimeMarch solver
+# the rhombic "arm" termination with a log sweep and a non-default solver
 # block, and the smallest valid document.
 PINNED_FINGERPRINTS = {
-    "fig1": "c86d2b0b14552f7deb51a43ccba7c7839e2bdac4d38a031271dceca2fa286e9a",
-    "fig2": "f98f978a26fccf14d44cac65a6b44d2369b2ea2a7d3620f0291b5326b9d01455",
-    "fig3": "dcbc90f2e5892f32e0672af61c40660a9a3f2fc7787a25c9f80eda59883a0162",
-    "fig4": "dd5a5d4373f4cdde452056791d0f9d43d455a9e78317a7ff3d597c20df9f384a",
-    "integers": "d1d51be1f698d6aa7ce9c7f587e1a464acd5dcb63e401f0557883a12ca5edb53",
-    "rhombic-arm": "29246a9bf576adfa595c71144132419baf68778e6dcebee759a2dd1fadbe1c67",
-    "minimal": "320b83f2016fc0ee4769f2ae3b5f2a222f534bf98d4ecfc6f6a1423b2caf8e48",
+    "fig1": "2c1c6cfce289c0bd3c6ed886bcb5bdeb7fb3379b23c3bf2889aca33564638fdb",
+    "fig2": "2fb0ee80dfb5a4f914a5268bdb1a7ca9ff344d4864f5c095412887580ac69a4e",
+    "fig3": "7ef978599239e19fc586bb22ef490a3f0354910ca927c9f05173ad2fede0d31f",
+    "fig4": "7c39594f6bf09611ab42df126d647431d63402e031fbd4cf9541e31bb1ea5959",
+    "integers": "1b3f6fbbdafbf1da54a844095e9c670b92e89014e0abafcaa4eb63222bb4efb9",
+    "rhombic-arm": "bd96927b432cee63966eb73145d72f8727feb76ac905010a6aea7dedbc565136",
+    "minimal": "cd50362f4aa3087487ae4063cef021062b46474d41e6a001f0bad17efbf30e56",
 }
 EDGE_CONFIGS = {
     "integers": {
@@ -59,7 +59,7 @@ EDGE_CONFIGS = {
         "lattice": {"kind": "rhombic", "L": 3, "phi": 3, "termination": "arm"},
         "leads": {"beta": 2.5, "mu_L": 0.1},
         "decoherence": 0.01,
-        "solver": {"method": "TimeMarch", "dt": 0.1, "max_time": 100, "max_iters": 1000},
+        "solver": {"method": "FullLinearSolve", "residual_tol": 1e-10},
         "sweep": {"axis": "kappa", "log_range": [0.001, 1], "points": 4},
     },
     "minimal": {"lattice": {"kind": "ssh"}},
@@ -162,6 +162,16 @@ class TestConfigParsing:
     def test_bad_solver_method(self):
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": "Magic"}})
+        # the time march and its step controls are gone from the schema
+        for solver in (
+            {"method": "TimeMarch"},
+            {"dt": 0.05},
+            {"max_time": 1e6},
+            {"max_iters": 1000},
+            {"step_tol": 1e-10},
+        ):
+            with pytest.raises(ConfigError, match="^solver"):
+                parse_config_dict({"lattice": {"kind": "ssh"}, "solver": solver})
 
 
 class TestFingerprint:
@@ -184,6 +194,14 @@ class TestFingerprint:
             }
         )
         assert minimal.fingerprint() == explicit.fingerprint()
+
+    def test_integer_spelling_does_not_change_the_fingerprint(self):
+        lattices = [{"kind": "ssh", "J": 1}, {"kind": "ssh", "J": 1.0}, {"kind": "ssh"}]
+        prints = {parse_config_dict({"lattice": lat}).fingerprint() for lat in lattices}
+        assert len(prints) == 1
+        sweeps = [{"axis": "delta", "range": r, "step": 1} for r in ([0, 1], [0.0, 1.0])]
+        prints = {parse_config_dict(base_raw(sweep=sw)).fingerprint() for sw in sweeps}
+        assert len(prints) == 1
 
     def test_key_order_is_irrelevant(self):
         a = parse_config('{"lattice": {"kind": "ssh", "L": 8}, "coupling": 0.2}')
@@ -344,9 +362,25 @@ class TestCli:
         assert "not valid JSON" in err["message"]
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, base_raw(mystery=1))
-        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "mystery" in json.loads(capsys.readouterr().err)["message"]
+        for extra, named in [
+            ({"mystery": 1}, "mystery"),
+            ({"solver": {"method": "TimeMarch"}}, "solver"),
+            ({"solver": {"dt": 0.05}}, "solver"),
+        ]:
+            cfg = write_cfg(tmp_path, base_raw(**extra))
+            assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+            assert named in err["message"]
+
+    def test_usage_errors_exit_1(self, capsys):
+        for argv in (["steady"], [], ["steady", "--config", "c.json", "--bogus"]):
+            assert main(argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "input"
+        with pytest.raises(SystemExit) as done:
+            main(["steady", "--help"])
+        assert done.value.code == 0
 
     def test_reverse_bias_flag(self, tmp_path, capsys):
         raw = base_raw()
@@ -362,9 +396,8 @@ class TestCli:
         assert payload["data"]["jbar"] < 0
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
-        raw = base_raw(
-            solver={"method": "TimeMarch", "max_time": 2.0, "residual_tol": 1e-13}
-        )
+        # a target below round-off cannot be met
+        raw = base_raw(solver={"residual_tol": 1e-30})
         cfg = write_cfg(tmp_path, raw)
         assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)

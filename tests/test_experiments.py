@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -224,9 +225,15 @@ class TestCsvRoundTrip:
 
     def test_read_rejects_ragged_rows(self, tmp_path):
         bad = tmp_path / "ragged.csv"
-        bad.write_text(CSV_HEADER_PREFIX + "x\n" + "axis,current,residual\n0,1\n")
-        with pytest.raises(ValueError, match="ragged"):
-            read_sweep_csv(bad)
+        cases = [
+            ("0,1\n", "line 3: ragged"),
+            ("0,1,2\n0,1\n", "line 4: ragged"),
+            ("0,1,2\n0,abc,2\n", "line 4: could not convert string to float: 'abc'"),
+        ]
+        for rows, message in cases:
+            bad.write_text(CSV_HEADER_PREFIX + "x\n" + "axis,current,residual\n" + rows)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}, {message}"):
+                read_sweep_csv(bad)
 
 
 class TestSweeps:
@@ -261,16 +268,9 @@ class TestSweeps:
         assert np.array_equal(serial.current, threaded.current)
         assert np.array_equal(serial.column("imbalance"), threaded.column("imbalance"))
 
-    def test_warm_start_does_not_move_the_answer(self):
-        solver = {"method": "TimeMarch", "residual_tol": 1e-9}
-        cfg = small_cfg(solver=solver)
-        deltas = [0.0, 0.05]
-        warm = sweep_gate(cfg, deltas, kappa=0.002, warm_start=True)
-        cold = sweep_gate(cfg, deltas, kappa=0.002, warm_start=False)
-        assert_allclose(warm.current, cold.current, atol=1e-8)
-
     def test_failed_rows_are_nan_not_fatal(self):
-        solver = {"method": "TimeMarch", "max_time": 2.0, "residual_tol": 1e-13}
+        # a target below round-off fails every row
+        solver = {"residual_tol": 1e-30}
         t = sweep_gate(small_cfg(solver=solver), [0.0, 0.1], kappa=0.0)
         assert np.isnan(t.current).all()
         assert_allclose(t.column("converged"), np.zeros(2), atol=0)

@@ -1,16 +1,22 @@
-"""The names the benchmark's tracer swaps out must exist where it looks for them.
+"""The names and call shapes the benchmark relies on must stay where it looks.
 
 ``perfbench/tracing.py`` replaces each ``(module, attr)`` in ``TARGETS``, and
-``RunConfig.fingerprint``, with a timing wrapper.  A refactor that moves or
-drops one of those names would only show up as a crash of a traced
-benchmark run; this test catches it in the fast suite instead.
+``RunConfig.fingerprint``, with a timing wrapper, and reads the solve's
+kappa, the sweep's ``parallel`` keyword and the solve diagnostics.
+``perfbench/workloads.py`` reads the default ``residual_tol``.  A refactor
+that moves or drops one of those would only show up as a crash of a
+benchmark run; these tests catch it in the fast suite instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from edgesense.config import RunConfig
+from edgesense.experiments import sweep_decoherence, sweep_gate
+from edgesense.master_eq import SolveDiagnostics, SolverConfig, solve_steady_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +35,13 @@ def test_traced_names_resolve_to_callables():
         obj = getattr(importlib.import_module(module_name), attr, None)
         assert callable(obj), f"{module_name}.{attr}"
     assert "fingerprint" in RunConfig.__dict__
+
+
+def test_benchmark_call_shapes():
+    # tracing._solve_attrs takes kappa from args[1] of a positional call
+    assert list(inspect.signature(solve_steady_state).parameters)[1] == "kappa"
+    for sweep in (sweep_gate, sweep_decoherence):
+        assert "parallel" in inspect.signature(sweep).parameters, sweep.__name__
+    assert SolverConfig().residual_tol > 0
+    fields = {f.name for f in dataclasses.fields(SolveDiagnostics)}
+    assert {"iterations", "residual", "warnings"} <= fields
