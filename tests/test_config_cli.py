@@ -66,6 +66,98 @@ EDGE_CONFIGS = {
 }
 
 
+def _with(section, **entries):
+    """The smallest valid ssh document plus one section holding ``entries``."""
+    if section == "lattice":
+        return {"lattice": {"kind": "ssh", **entries}}
+    if section == "rhombic":
+        return {"lattice": {"kind": "rhombic", **entries}}
+    return {"lattice": {"kind": "ssh"}, section: entries}
+
+
+# Every validation rule, one case each: (document, dotted path the message
+# starts with, key or value the message names).
+REJECTIONS = {
+    # unknown keys, at each level
+    "unknown-root": ({"lattice": {"kind": "ssh"}, "bogus": 1}, "<root>", "bogus"),
+    "unknown-lattice": (_with("lattice", bogus=1), "lattice", "bogus"),
+    "unknown-leads": (_with("leads", bogus=1), "leads", "bogus"),
+    "unknown-solver": (_with("solver", bogus=1), "solver", "bogus"),
+    "unknown-sweep": (_with("sweep", axis="delta", values=[0.0], bogus=1), "sweep", "bogus"),
+    "unknown-output": (_with("output", bogus=1), "output", "bogus"),
+    # required keys
+    "missing-lattice": ({}, "<root>", "lattice"),
+    "missing-kind": ({"lattice": {}}, "lattice", "kind"),
+    "missing-axis": (_with("sweep", values=[0.0]), "sweep", "sweep"),
+    # wrong types, booleans included
+    "root-not-object": ([], "<root>", "object"),
+    "lattice-not-object": ({"lattice": 3}, "lattice", "object"),
+    "leads-not-object": ({"lattice": {"kind": "ssh"}, "leads": 3}, "leads", "object"),
+    "type-integer": (_with("lattice", L="8"), "lattice.L", "8"),
+    "type-number": (_with("leads", mu_L="a"), "leads.mu_L", "a"),
+    "type-top-number": ({"lattice": {"kind": "ssh"}, "coupling": "0.2"}, "coupling", "0.2"),
+    "type-string": (_with("output", path=3), "output.path", "3"),
+    "type-list": (_with("sweep", axis="delta", values=0.1), "sweep.values", "0.1"),
+    "type-list-item": (_with("sweep", axis="delta", values=[0.1, "a"]), "sweep.values.1", "a"),
+    "bool-integer": (_with("lattice", L=True), "lattice.L", "True"),
+    "bool-number": (_with("lattice", J=True), "lattice.J", "True"),
+    "bool-beta": (_with("leads", beta=True), "leads.beta", "True"),
+    "bool-points": (
+        _with("sweep", axis="kappa", log_range=[0.1, 1.0], points=True), "sweep.points", "True"
+    ),
+    "bool-list-item": (_with("sweep", axis="delta", values=[True]), "sweep.values.0", "True"),
+    "non-integral": (_with("lattice", L=8.5), "lattice.L", "8.5"),
+    # choices
+    "choice-kind": ({"lattice": {"kind": "kagome"}}, "lattice.kind", "kagome"),
+    "choice-termination": (_with("rhombic", termination="tail"), "lattice.termination", "tail"),
+    "choice-method": (_with("solver", method="Magic"), "solver.method", "Magic"),
+    "choice-axis": (_with("sweep", axis="mu", values=[0.0]), "sweep", "mu"),
+    "choice-format": (_with("output", format="json"), "output.format", "csv"),
+    "choice-beta": (_with("leads", beta="warm"), "leads.beta", "warm"),
+    # lower bounds
+    "min-ssh-L": (_with("lattice", L=0), "lattice.L", "0"),
+    "min-rhombic-L": (_with("rhombic", L=1), "lattice.L", "1"),
+    "min-J": (_with("lattice", J=0), "lattice.J", "0"),
+    "min-J_tilde": (_with("lattice", J_tilde=-1), "lattice.J_tilde", "-1"),
+    "min-J_abs": (_with("rhombic", J_abs=0), "lattice.J_abs", "0"),
+    "min-M": (_with("leads", M=3), "leads.M", "3"),
+    "min-J_lead": (_with("leads", J_lead=0), "leads.J_lead", "0"),
+    "min-beta": (_with("leads", beta=-1), "leads.beta", "-1"),
+    "min-gamma": (_with("leads", gamma=-0.1), "leads.gamma", "-0.1"),
+    "min-coupling": ({"lattice": {"kind": "ssh"}, "coupling": -0.1}, "coupling", "-0.1"),
+    "min-decoherence": ({"lattice": {"kind": "ssh"}, "decoherence": -0.1}, "decoherence", "-0.1"),
+    "min-residual_tol": (_with("solver", residual_tol=0), "solver.residual_tol", "0"),
+    "min-step": (_with("sweep", axis="delta", range=[0, 1], step=0), "sweep.step", "0"),
+    "min-log_range": (
+        _with("sweep", axis="kappa", log_range=[0, 1], points=3), "sweep.log_range.0", "0"
+    ),
+    "min-points": (
+        _with("sweep", axis="kappa", log_range=[0.1, 1.0], points=1), "sweep.points", "1"
+    ),
+    "empty-path": (_with("output", path=""), "output.path", "empty"),
+    # sweep shapes
+    "mixed-shapes": (
+        _with("sweep", axis="delta", values=[0.0], range=[0, 1], step=0.5), "sweep", "range"
+    ),
+    "mixed-shape-keys": (_with("sweep", axis="delta", range=[0, 1], points=3), "sweep", "points"),
+    "incomplete-shape": (_with("sweep", axis="delta", range=[0, 1]), "sweep", "range"),
+    "no-shape": (_with("sweep", axis="delta"), "sweep", "sweep"),
+    "empty-values": (_with("sweep", axis="delta", values=[]), "sweep.values", "values"),
+    "range-three": (_with("sweep", axis="delta", range=[0, 1, 2], step=0.5), "sweep.range", "range"),
+    "log_range-three": (
+        _with("sweep", axis="kappa", log_range=[0.1, 1, 2], points=3),
+        "sweep.log_range",
+        "log_range",
+    ),
+    "reversed-range": (_with("sweep", axis="delta", range=[1, 0], step=0.5), "sweep.range", "range"),
+    # the other lattice kind's parameters, and ssh parity
+    "foreign-phi": (_with("lattice", phi=3.0), "lattice.phi", "phi"),
+    "foreign-termination": (_with("lattice", termination="arm"), "lattice.termination", "ssh"),
+    "foreign-J_tilde": (_with("rhombic", J_tilde=0.5), "lattice.J_tilde", "J_tilde"),
+    "odd-ssh-L": (_with("lattice", L=7), "lattice.L", "even"),
+}
+
+
 def write_cfg(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -158,6 +250,15 @@ class TestConfigParsing:
         raw = base_raw(sweep={"axis": "delta", "range": [1.0, -1.0], "step": 0.01})
         with pytest.raises(ConfigError, match="upper bound below lower"):
             parse_config_dict(raw)
+
+    @pytest.mark.parametrize("name", list(REJECTIONS))
+    def test_rejection_table(self, name):
+        raw, path, named = REJECTIONS[name]
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(raw)
+        message = str(err.value)
+        assert message.startswith(path), message
+        assert named in message, message
 
     def test_bad_solver_method(self):
         with pytest.raises(ConfigError, match="solver.method"):
