@@ -31,7 +31,6 @@ from .observables import (
 )
 
 from .config import (
-    CONFIG_SCHEMA,
     ConfigError,
     RunConfig,
     apply_overrides,

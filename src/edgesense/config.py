@@ -1,8 +1,11 @@
-"""Run configuration: schema validation, defaults, fingerprints, builders.
+"""Run configuration: validation, defaults, fingerprints, builders.
 
-A run is described by one JSON document.  ``parse_config`` turns it into a
-frozen ``RunConfig`` with every default materialized, so the sha256
-fingerprint of two configs agrees exactly when the runs they describe do.
+A run is described by one JSON document.  ``parse_config`` checks it
+against the settings dataclasses below: their fields name each section's
+keys and their types, and ``_CHOICES``/``_LOWER_BOUNDS`` add what a type
+does not say.  It returns a frozen ``RunConfig`` with every default
+materialized, so the sha256 fingerprint of two configs agrees exactly when
+the runs they describe do.
 """
 
 from __future__ import annotations
@@ -11,18 +14,17 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable
 
-import jsonschema
 import numpy as np
 
-from .lattice import Lattice, build_rhombic, build_ssh
-from .leads import CompositeSystem, RingLead, assemble_composite
+from .lattice import RHOMBIC_TERMINATIONS, Lattice, build_rhombic, build_ssh
+from .leads import MIN_RING_SIZE, CompositeSystem, RingLead, assemble_composite
 from .master_eq import SolverConfig, SolverMethod
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "ConfigError",
     "LatticeSettings",
     "LeadSettings",
@@ -34,108 +36,39 @@ __all__ = [
     "parse_config_dict",
 ]
 
-_SWEEP_VARIANTS = [
-    {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["axis", "values"],
-        "properties": {
-            "axis": {"enum": ["delta", "kappa"]},
-            "values": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-        },
-    },
-    {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["axis", "range", "step"],
-        "properties": {
-            "axis": {"enum": ["delta", "kappa"]},
-            "range": {
-                "type": "array",
-                "minItems": 2,
-                "maxItems": 2,
-                "items": {"type": "number"},
-            },
-            "step": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["axis", "log_range", "points"],
-        "properties": {
-            "axis": {"enum": ["delta", "kappa"]},
-            "log_range": {
-                "type": "array",
-                "minItems": 2,
-                "maxItems": 2,
-                "items": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "points": {"type": "integer", "minimum": 2},
-        },
-    },
-]
-
-CONFIG_SCHEMA: dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "edgesense run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["lattice"],
-    "properties": {
-        "lattice": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["ssh", "rhombic"]},
-                "L": {"type": "integer", "minimum": 2},
-                "J": {"type": "number", "exclusiveMinimum": 0},
-                "J_tilde": {"type": "number", "exclusiveMinimum": 0},
-                "J_abs": {"type": "number", "exclusiveMinimum": 0},
-                "phi": {"type": "number"},
-                "delta": {"type": "number"},
-                "termination": {"enum": ["hub", "arm"]},
-            },
-        },
-        "leads": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "M": {"type": "integer", "minimum": 4},
-                "J_lead": {"type": "number", "exclusiveMinimum": 0},
-                "mu_L": {"type": "number"},
-                "mu_R": {"type": "number"},
-                "beta": {
-                    "oneOf": [{"type": "number", "minimum": 0}, {"const": "inf"}]
-                },
-                "gamma": {"type": "number", "minimum": 0},
-            },
-        },
-        "coupling": {"type": "number", "minimum": 0},
-        "decoherence": {"type": "number", "minimum": 0},
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["SylvesterIteration", "FullLinearSolve"]},
-                "residual_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "sweep": {"oneOf": _SWEEP_VARIANTS},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string", "minLength": 1},
-                "format": {"const": "csv"},
-            },
-        },
-    },
-}
-
 _SSH_ONLY = ("J", "J_tilde")
 _RHOMBIC_ONLY = ("J_abs", "phi", "termination")
+
+# What the field types do not say.  A lower bound is (bound, whether the
+# bound itself is allowed); on a list field it applies to each item.
+_CHOICES = {
+    "lattice.kind": ("ssh", "rhombic"),
+    "lattice.termination": RHOMBIC_TERMINATIONS,
+    "solver.method": tuple(m.value for m in SolverMethod),
+    "sweep.axis": ("delta", "kappa"),
+    "output.format": ("csv",),
+}
+_LOWER_BOUNDS = {
+    "lattice.L": (2, True),
+    "lattice.J": (0, False),
+    "lattice.J_tilde": (0, False),
+    "lattice.J_abs": (0, False),
+    "leads.M": (MIN_RING_SIZE, True),
+    "leads.J_lead": (0, False),
+    "leads.beta": (0, True),
+    "leads.gamma": (0, False),
+    "coupling": (0, True),
+    "decoherence": (0, True),
+    "solver.residual_tol": (0, False),
+    "sweep.step": (0, False),
+    "sweep.log_range": (0, False),
+    "sweep.points": (2, True),
+}
+# the key each section must have; "" is the document itself
+_REQUIRED = {"": "lattice", "lattice": "kind", "sweep": "axis"}
+# JSON keys that differ from their SweepSettings field names
+_SPELLING = {"span": "range", "log_span": "log_range"}
+_SWEEP_SHAPES = (("values",), ("range", "step"), ("log_range", "points"))
 
 
 class ConfigError(ValueError):
@@ -209,10 +142,9 @@ class SweepSettings:
         return np.logspace(math.log10(lo), math.log10(hi), self.points)
 
     def to_dict(self) -> dict[str, Any]:
-        """The schema's spelling: unset fields dropped, spans as "range" lists."""
-        keys = {"span": "range", "log_span": "log_range"}
+        """The JSON spelling: unset fields dropped, spans as "range" lists."""
         return {
-            keys.get(k, k): list(v) if isinstance(v, tuple) else v
+            _SPELLING.get(k, k): list(v) if isinstance(v, tuple) else v
             for k, v in asdict(self).items()
             if v is not None
         }
@@ -256,79 +188,124 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _first_schema_error(raw: dict[str, Any]) -> str | None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    best = jsonschema.exceptions.best_match(validator.iter_errors(raw))
-    if best is None:
-        return None
-    path = ".".join(str(p) for p in best.absolute_path) or "<root>"
-    return f"{path}: {best.message}"
+_SECTIONS = {
+    cls.__name__: cls
+    for cls in (LatticeSettings, LeadSettings, SolverConfig, SweepSettings, OutputSettings)
+}
 
 
-def _settings(cls: type, raw: dict[str, Any]) -> Any:
-    """Build a settings dataclass with its float fields cast to float.
+def _section(path: str, cls: type, raw: Any) -> dict[str, Any]:
+    """Check one JSON object against a settings dataclass; return its entries cast."""
+    where = path or "<root>"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: {raw!r} is not an object")
+    types = {_SPELLING.get(f.name, f.name): f.type for f in fields(cls)}
+    for key in raw:
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    if path in _REQUIRED and _REQUIRED[path] not in raw:
+        raise ConfigError(f"{where}: {_REQUIRED[path]!r} is required")
+    return {
+        key: _value(f"{path}.{key}".lstrip("."), types[key], value)
+        for key, value in raw.items()
+    }
 
-    JSON spells 1 and 1.0 differently; the cast keeps both, and the
-    default, to one fingerprint.
+
+def _value(path: str, annotation: str, value: Any, rule: str | None = None) -> Any:
+    """Check one config value against its field type and rules; return it cast.
+
+    Numbers are cast to the field's type, so 1 and 1.0 in a float field, or
+    8 and 8.0 in an integer field, give one fingerprint.  ``rule`` is the
+    table key when it differs from ``path`` (the items of a list).
     """
-    floats = {f.name for f in fields(cls) if f.type in ("float", float)}
-    return cls(**{k: float(v) if k in floats else v for k, v in raw.items()})
+    rule = rule or path
+    kind = annotation.removesuffix(" | None")
+    if kind in _SECTIONS:
+        return _section(path, _SECTIONS[kind], value)
+    if kind.startswith("tuple["):
+        size = None if kind.endswith("...]") else kind.count(",") + 1
+        if not isinstance(value, list) or not value or len(value) != (size or len(value)):
+            want = size or "one or more"
+            raise ConfigError(f"{path}: {value!r} is not a list of {want} numbers")
+        return tuple(_value(f"{path}.{i}", "float", v, path) for i, v in enumerate(value))
+    if kind in ("str", "SolverMethod"):
+        choices = _CHOICES.get(rule)
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: {value!r} is not a non-empty string")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
+        return SolverMethod(value) if kind == "SolverMethod" else value
+    if rule == "leads.beta" and value == "inf":
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        want = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{path}: {value!r} is not {want}")
+    if kind == "int":
+        if not (isinstance(value, int) or value.is_integer()):
+            raise ConfigError(f"{path}: {value!r} is not an integer")
+        value = int(value)
+    elif abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
+        value = float(value)
+    else:
+        raise ConfigError(f"{path}: {value!r} is not a finite number")
+    bound, inclusive = _LOWER_BOUNDS.get(rule, (-math.inf, True))
+    if value < bound or (value == bound and not inclusive):
+        raise ConfigError(f"{path}: {value!r} must be {'>=' if inclusive else '>'} {bound}")
+    return value
 
 
 def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) -> RunConfig:
     """Validate a decoded config document and materialize all defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>: config must be a JSON object")
-    problem = _first_schema_error(raw)
-    if problem is not None:
-        raise ConfigError(problem)
+    doc = _section("", RunConfig, raw)
+    sw = doc.get("sweep")
+    if sw is not None:
+        shapes = [shape for shape in _SWEEP_SHAPES if any(k in sw for k in shape)]
+        if len(shapes) != 1:
+            given = [k for shape in shapes for k in shape if k in sw] or "no grid"
+            raise ConfigError(
+                f"sweep: {given} given; use exactly one of 'values', "
+                "'range' with 'step', or 'log_range' with 'points'"
+            )
+        missing = [k for k in shapes[0] if k not in sw]
+        if missing:
+            raise ConfigError(f"sweep: {shapes[0][0]!r} needs {missing[0]!r}")
 
-    lat_raw = dict(raw["lattice"])
-    kind = lat_raw["kind"]
+    lat = doc["lattice"]
+    kind = lat["kind"]
     foreign = _RHOMBIC_ONLY if kind == "ssh" else _SSH_ONLY
     for key in foreign:
-        if key in lat_raw:
+        if key in lat:
             raise ConfigError(f"lattice.{key}: not a parameter of kind '{kind}'")
-    lat_raw.setdefault("L", 60 if kind == "ssh" else 15)
-    if kind == "ssh" and lat_raw["L"] % 2:
+    lat.setdefault("L", 60 if kind == "ssh" else 15)
+    if kind == "ssh" and lat["L"] % 2:
         raise ConfigError("lattice.L: ssh chains need an even number of sites")
-    lattice = _settings(LatticeSettings, lat_raw)
 
-    leads_raw = dict(raw.get("leads", {}))
-    if leads_raw.get("beta") == "inf":
-        leads_raw["beta"] = math.inf
-    leads = _settings(LeadSettings, leads_raw)
+    leads = LeadSettings(**doc.get("leads", {}))
     if leads.mu_L < leads.mu_R and not allow_reverse_bias:
         raise ConfigError(
             "leads.mu_L < leads.mu_R: reverse bias requires --allow-reverse-bias"
         )
 
-    solver_raw = dict(raw.get("solver", {}))
-    if "method" in solver_raw:
-        solver_raw["method"] = SolverMethod(solver_raw["method"])
-    solver = _settings(SolverConfig, solver_raw)
-
     sweep = None
-    if "sweep" in raw:
-        sw = raw["sweep"]
+    if sw is not None:
         sweep = SweepSettings(
             axis=sw["axis"],
-            values=tuple(map(float, sw["values"])) if "values" in sw else None,
-            span=tuple(map(float, sw["range"])) if "range" in sw else None,
-            step=float(sw["step"]) if "step" in sw else None,
-            log_span=tuple(map(float, sw["log_range"])) if "log_range" in sw else None,
+            values=sw.get("values"),
+            span=sw.get("range"),
+            step=sw.get("step"),
+            log_span=sw.get("log_range"),
             points=sw.get("points"),
         )
         if sweep.span is not None and sweep.span[1] < sweep.span[0]:
             raise ConfigError("sweep.range: upper bound below lower bound")
 
     return RunConfig(
-        lattice=lattice,
+        lattice=LatticeSettings(**lat),
         leads=leads,
-        solver=solver,
+        solver=SolverConfig(**doc.get("solver", {})),
         sweep=sweep,
-        output=OutputSettings(**raw.get("output", {})),
-        **{k: float(raw[k]) for k in ("coupling", "decoherence") if k in raw},
+        output=OutputSettings(**doc.get("output", {})),
+        **{k: doc[k] for k in ("coupling", "decoherence") if k in doc},
     )
 
 

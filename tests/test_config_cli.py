@@ -17,6 +17,8 @@ from edgesense.config import (
     parse_config_dict,
 )
 from edgesense.experiments import CSV_HEADER_PREFIX, _openblas_threads, read_sweep_csv
+from edgesense.lattice import RHOMBIC_TERMINATIONS
+from edgesense.leads import MIN_RING_SIZE
 from edgesense.master_eq import SolverMethod
 
 MU = math.pi / 40
@@ -260,6 +262,37 @@ class TestConfigParsing:
         assert message.startswith(path), message
         assert named in message, message
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"lattice": {"kind": "ssh", "delta": NaN}}', "lattice.delta"),
+            ('{"lattice": {"kind": "ssh"}, "leads": {"mu_L": Infinity}}', "leads.mu_L"),
+            ('{"lattice": {"kind": "ssh"}, "leads": {"mu_R": -Infinity}}', "leads.mu_R"),
+            ('{"lattice": {"kind": "ssh"}, "leads": {"beta": Infinity}}', "leads.beta"),
+            ('{"lattice": {"kind": "ssh"}, "decoherence": NaN}', "decoherence"),
+            ('{"lattice": {"kind": "ssh"}, "sweep": {"axis": "delta", "values": [0, NaN]}}',
+             "sweep.values.1"),
+        ],
+        ids=["delta-nan", "mu_L-inf", "mu_R-minus-inf", "beta-inf", "decoherence-nan", "values-nan"],
+    )
+    def test_non_finite_numbers_rejected(self, text, path):
+        with pytest.raises(ConfigError, match=f"^{path}: .* is not a finite number"):
+            parse_config(text)
+
+    def test_bounds_match_the_library(self):
+        # RingLead refuses gamma = 0; the config names the field instead
+        with pytest.raises(ConfigError, match="^leads.gamma"):
+            parse_config_dict({"lattice": {"kind": "ssh"}, "leads": {"gamma": 0}})
+        parse_config_dict({"lattice": {"kind": "ssh"}, "leads": {"M": MIN_RING_SIZE}})
+        with pytest.raises(ConfigError, match="^leads.M"):
+            parse_config_dict({"lattice": {"kind": "ssh"}, "leads": {"M": MIN_RING_SIZE - 1}})
+        for termination in RHOMBIC_TERMINATIONS:
+            raw = {"lattice": {"kind": "rhombic", "termination": termination}}
+            parse_config_dict(raw).build_lattice()
+        for method in SolverMethod:
+            cfg = parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": method.value}})
+            assert cfg.solver.method is method
+
     def test_bad_solver_method(self):
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": "Magic"}})
@@ -302,6 +335,17 @@ class TestFingerprint:
         assert len(prints) == 1
         sweeps = [{"axis": "delta", "range": r, "step": 1} for r in ([0, 1], [0.0, 1.0])]
         prints = {parse_config_dict(base_raw(sweep=sw)).fingerprint() for sw in sweeps}
+        assert len(prints) == 1
+        # integer fields written as floats are cast, not kept or refused
+        docs = [
+            base_raw(
+                lattice={"kind": "ssh", "L": n},
+                leads={"M": n},
+                sweep={"axis": "kappa", "log_range": [0.1, 1.0], "points": n},
+            )
+            for n in (8, 8.0)
+        ]
+        prints = {parse_config_dict(doc).fingerprint() for doc in docs}
         assert len(prints) == 1
 
     def test_key_order_is_irrelevant(self):
@@ -352,6 +396,15 @@ class TestOverrides:
     def test_override_through_scalar_rejected(self):
         with pytest.raises(ConfigError, match="not an object"):
             apply_overrides({"coupling": 0.2}, ["coupling.deep=1"])
+
+    def test_non_finite_override_rejected(self):
+        for item, path in [("lattice.delta=NaN", "lattice.delta"), ("coupling=Infinity", "coupling")]:
+            raw = apply_overrides(base_raw(), [item])
+            with pytest.raises(ConfigError, match=f"^{path}: .* is not a finite number"):
+                parse_config_dict(raw)
+        # beta keeps its string spelling of infinity
+        raw = apply_overrides(base_raw(), ["leads.beta=inf"])
+        assert math.isinf(parse_config_dict(raw).leads.beta)
 
     def test_overridden_value_still_schema_checked(self):
         raw = apply_overrides(base_raw(), ["lattice.L=7"])
@@ -449,6 +502,36 @@ class TestCli:
         cfg = write_cfg(tmp_path, base_raw())
         assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "needs a sweep section" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_integer_fields_written_as_floats_run(self, tmp_path, capsys):
+        raw = base_raw(sweep={"axis": "kappa", "log_range": [1e-3, 1.0], "points": 6.0})
+        raw["lattice"]["L"] = 4.0
+        raw["leads"]["M"] = 8.0
+        cfg = write_cfg(tmp_path, raw)
+        for command in ("spectrum", "steady", "sweep-kappa"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0, command
+        table = read_sweep_csv(tmp_path / "o" / "sweep_kappa.csv")
+        assert table.n_rows == 6
+        ints = base_raw(sweep={"axis": "kappa", "log_range": [1e-3, 1.0], "points": 6})
+        assert table.config_fingerprint == parse_config_dict(ints).fingerprint()
+        assert capsys.readouterr().err == ""
+
+    def test_config_bound_errors(self, tmp_path, capsys):
+        for section, entries, path in [
+            ("leads", {"gamma": 0}, "leads.gamma"),
+            ("lattice", {"kind": "ssh", "delta": math.nan}, "lattice.delta"),
+            ("leads", {"mu_L": math.inf}, "leads.mu_L"),
+            ("lattice", {"kind": "ssh", "L": 8.5}, "lattice.L"),
+        ]:
+            cfg = write_cfg(tmp_path, base_raw(**{section: entries}))
+            assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+            assert err["message"].startswith(path)
+        cfg = write_cfg(tmp_path, base_raw())
+        argv = ["steady", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--override", "lattice.delta=NaN"]) == 1
+        assert json.loads(capsys.readouterr().err)["message"].startswith("lattice.delta")
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert main(["steady", "--config", str(tmp_path / "nope.json")]) == 3
