@@ -14,7 +14,15 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   A = iH + Delta turns every solve of A rho + rho A^dag = S into two
   basis rotations.  The dephasing back-feed only couples to the lattice
   diagonal, so its fixed point is pinned down exactly by one small
-  linear solve over that diagonal.
+  linear solve over that diagonal.  Only the lattice-coupled sector is
+  eigendecomposed: each ring lead touches the lattice at its site 0 and
+  relaxes uniformly, so H, the rates and the thermal target commute with
+  the ring reflection m <-> M - m.  The reflection-odd modes
+  (|m> - |M-m>)/sqrt(2) vanish on the contact site and never exchange
+  particles or coherence with the rest; their steady state is the
+  target's odd block, exactly.  The per-solve floor is one LAPACK
+  ``zgeev`` at N_e = 102 for fig1/fig2 (N = 140) and N_e = 88 for
+  fig3/fig4 (N = 126).
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -36,6 +44,9 @@ from .leads import CompositeSystem
 
 FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
+# Tolerance on every condition that lets the ring-odd sector be split off,
+# relative to the largest entry of H, target, drive and the rates (at least 1).
+SECTOR_TOL = 1e-12
 
 
 class SolverMethod(str, enum.Enum):
@@ -203,21 +214,79 @@ def propagate(
     return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
 
 
-class _SylvesterFactorization:
-    """Eigendecomposition of A = iH + Delta, reused for every right-hand side.
+def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal basis Q_e of the lattice-coupled sector, and the rest's steady state.
 
-    Solves A X + X A^dag = S via X = V ((V^-1 S V^-dag) / D) V^dag with
-    D_ab = lam_a + conj(lam_b).  Pairs with |D| below the guard correspond
-    to conserved (dark) sectors; their components are projected out, which
-    selects the minimal-norm steady state.
+    The reflection R maps site m of each lead block to M - m (mod M) and
+    fixes the lattice.  Its +1 eigenspace is spanned by the lattice sites,
+    each ring's site 0, the pair sums (|m> + |M-m>)/sqrt(2) and, for even M,
+    |M/2>: those columns form Q_e.  The pair differences form Q_o.  The odd
+    sector is split off only when it provably decouples: Q_e^T X Q_o
+    vanishes for X = H, target, drive and the rates; target_o is stationary
+    under the odd block of the generator, -i[H_o, target_o] - {G_o,
+    target_o} + drive_o = 0 (for a ring, H_o commutes with target_o); and
+    the odd rates G_o are positive definite, so that block has a unique
+    solution and no dark pair.  Each check holds to SECTOR_TOL, whatever
+    built the system.  Otherwise Q_e is the identity and the returned odd
+    steady state is zero.  The second return value is P_o target P_o with
+    P_o = Q_o Q_o^T, in the site basis.
+    """
+    imap = sys.index_map
+    n = sys.size
+    idx = np.arange(n)
+    mirror = idx.copy()
+    for block in (imap.left, imap.right):
+        m = idx[block] - block.start
+        mirror[block] = block.start + (-m) % m.size
+    lo = np.flatnonzero(mirror > idx)
+    hi = mirror[lo]
+    q = np.eye(n)
+    q[lo, lo] = q[hi, lo] = q[lo, hi] = np.sqrt(0.5)
+    q[hi, hi] = -np.sqrt(0.5)
+    odd = mirror < idx
+    q_e, q_o = q[:, ~odd], q[:, odd]
+
+    half_gamma = 0.5 * sys.gamma_by_index
+    mats = (sys.h_total, sys.target, sys.drive)
+    scale = max(1.0, float(half_gamma.max(initial=0.0)), *(float(np.abs(x).max()) for x in mats))
+    tol = SECTOR_TOL * scale
+    xq = [x @ q_o for x in mats] + [half_gamma[:, None] * q_o]
+    leak = max(float(np.abs(q_e.T @ y).max(initial=0.0)) for y in xq)
+    h_o, t_o, d_o, g_o = (q_o.T @ y for y in xq)
+    stationary = -1j * (h_o @ t_o - t_o @ h_o) - (g_o @ t_o + t_o @ g_o) + d_o
+    if (
+        leak > tol
+        or np.abs(stationary).max(initial=0.0) > tol
+        or np.linalg.eigvalsh(g_o).min(initial=np.inf) <= tol
+    ):
+        return np.eye(n), np.zeros((n, n), dtype=complex)
+    return q_e, q_o @ t_o @ q_o.T
+
+
+class _SylvesterFactorization:
+    """Eigendecomposition of A = iH + Delta on the lattice-coupled sector.
+
+    A is block diagonal between the coupled sector Q_e and the ring-odd
+    sector (see ``_coupled_sector``), so only A_e = Q_e^T A Q_e, of size
+    n_lattice + (M_L//2 + 1) + (M_R//2 + 1) (102 for fig1, 88 for fig3),
+    is eigendecomposed: A_e = V diag(lam) V^-1.  ``v = Q_e V`` (N x N_e) and
+    ``vinv = V^-1 Q_e^T`` (N_e x N) act in the site basis, so
+    ``solve(source)`` returns the coupled-sector solution Q_e X_e Q_e^T of
+    A X + X A^dag = S via X_e = V ((vinv S vinv^dag) / D) V^dag with
+    D_ab = lam_a + conj(lam_b).  The odd sector's steady state does not
+    depend on kappa or on the lattice, and is kept as ``rho_odd``.  Pairs
+    with |D| below the guard correspond to conserved (dark) sectors; their
+    components are projected out, which selects the minimal-norm steady
+    state.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
+        q_e, self.rho_odd = _coupled_sector(sys)
         a = 1j * sys.h_total + np.diag(_half_rates(sys, kappa))
-        lam, v = np.linalg.eig(a)
+        lam, v = np.linalg.eig(q_e.T @ a @ q_e)
         self.lam = lam
-        self.v = v
-        self.vinv = np.linalg.inv(v)
+        self.v = q_e @ v
+        self.vinv = np.linalg.inv(v) @ q_e.T
         denom = lam[:, None] + lam[None, :].conj()
         guard = DENOMINATOR_GUARD * max(1.0, float(np.abs(lam).max()))
         self.dark_pairs = np.abs(denom) < guard
@@ -266,6 +335,7 @@ def _solve_sylvester(
         source[latt, latt] += kappa * d
         rho = fact.solve(source)
         solves += 1
+    rho = rho + fact.rho_odd
     rho = 0.5 * (rho + rho.conj().T)
     return rho, solves, _residual(sys, rho, kappa), notes
 

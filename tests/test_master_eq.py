@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edgesense.lattice import build_rhombic
+from edgesense.config import parse_config
+from edgesense.lattice import build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite
 from edgesense.master_eq import (
     SPDM,
@@ -19,9 +22,13 @@ from edgesense.master_eq import (
     propagate,
     solve_steady_state,
     spdm_to_json,
+    _SylvesterFactorization,
 )
 
 from conftest import MU_BIAS, make_ssh_system
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FULL = SolverConfig(method=SolverMethod.FULL_LINEAR)
 
 
 def random_hermitian(n, seed):
@@ -273,3 +280,119 @@ class TestSteadyState:
         assert_allclose(complex(re, im), rho.matrix[0, 0], atol=0)
         bare = json.loads(spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex))))
         assert bare["index_map"] is None
+
+
+def two_ring_system(m_left, m_right, beta=np.inf):
+    lat = build_ssh(4, 0.5, 1.0, 0.0)
+    left = RingLead(size=m_left, mu=MU_BIAS, beta=beta)
+    right = RingLead(size=m_right, mu=-MU_BIAS, beta=beta)
+    return assemble_composite(lat, left, right, 0.2)
+
+
+def odd_projector(sys):
+    """(1 - R)/2 for R mirroring each lead block about its site 0 (m <-> M - m)."""
+    n = sys.size
+    mirror = np.arange(n)
+    for block in (sys.index_map.left, sys.index_map.right):
+        m = np.arange(block.stop - block.start)
+        mirror[block] = block.start + (-m) % m.size
+    return 0.5 * (np.eye(n) - np.eye(n)[mirror])
+
+
+def solve_quietly(sys, kappa, cfg=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve_steady_state(sys, kappa, cfg)
+
+
+def without_reflection(name):
+    """A hand-built SSH system whose leads break the ring reflection in one way."""
+    sys = make_ssh_system()
+    left = sys.index_map.left
+    l0 = left.start
+    h = sys.h_total.copy()
+    if name == "contact-at-site-1":
+        h[0, l0] = h[l0, 0] = 0.0
+        h[0, l0 + 1] = h[l0 + 1, 0] = -0.1
+        return dataclasses.replace(sys, h_total=h)
+    if name == "random-lead-block":
+        h[left, left] = random_hermitian(left.stop - l0, seed=4)
+        return dataclasses.replace(sys, h_total=h)
+    if name == "uneven-ring-rates":
+        gamma = sys.gamma_by_index.copy()
+        gamma[l0 + 1] *= 3.0
+        return dataclasses.replace(sys, gamma_by_index=gamma)
+    # target commutes with the reflection but is not stationary in the odd sector
+    x = random_hermitian(left.stop - l0, seed=6)
+    mirror = (-np.arange(x.shape[0])) % x.shape[0]
+    target = sys.target.copy()
+    target[left, left] += 0.01 * (x + x[mirror][:, mirror])
+    return dataclasses.replace(sys, target=target, drive=sys.gamma_by_index[:, None] * target)
+
+
+class TestCoupledSector:
+    @pytest.mark.parametrize("beta", [np.inf, 5.0, 0.0], ids=["beta=inf", "beta=5", "beta=0"])
+    @pytest.mark.parametrize("rings", [(4, 4), (5, 5), (8, 8), (5, 8), (8, 4)], ids=str)
+    def test_reduction_matches_oracle(self, rings, beta):
+        sys = two_ring_system(*rings, beta=beta)
+        assert sys.size <= 40
+        p_odd = odd_projector(sys)
+        for kappa in (0.0, 0.01, 3.0):
+            fact = _SylvesterFactorization(sys, kappa)
+            assert fact.v.shape == (sys.size, 4 + rings[0] // 2 + 1 + rings[1] // 2 + 1)
+            rho, diag = solve_quietly(sys, kappa)
+            full, _ = solve_quietly(sys, kappa, FULL)
+            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert diag.residual < 1e-12
+            assert diag.iterations == (4 + 2 if kappa > 0 else 1)
+            # the decoupled block is the target's, and it does not mix
+            assert_allclose(p_odd @ rho.matrix @ p_odd, p_odd @ sys.target @ p_odd, atol=1e-12)
+            assert np.abs((np.eye(sys.size) - p_odd) @ rho.matrix @ p_odd).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "name", ["contact-at-site-1", "random-lead-block", "uneven-ring-rates", "odd-target-not-stationary"]
+    )
+    def test_no_reflection_solves_in_full_basis(self, name):
+        sys = without_reflection(name)
+        for kappa in (0.0, 0.01):
+            assert _SylvesterFactorization(sys, kappa).v.shape == (sys.size, sys.size)
+            rho, diag = solve_quietly(sys, kappa)
+            full, _ = solve_quietly(sys, kappa, FULL)
+            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert diag.converged
+            assert diag.iterations == (4 + 2 if kappa > 0 else 1)
+
+    def test_undamped_odd_modes_stay_in_full_basis(self):
+        # a left ring that neither relaxes nor is driven: its odd modes are
+        # conserved, so they must stay visible as dark pairs
+        sys = make_ssh_system()
+        left = sys.index_map.left
+        gamma, target = sys.gamma_by_index.copy(), sys.target.copy()
+        gamma[left] = 0.0
+        target[left, left] = 0.0
+        sys = dataclasses.replace(
+            sys, gamma_by_index=gamma, target=target, drive=gamma[:, None] * target
+        )
+        fact = _SylvesterFactorization(sys, 0.01)
+        assert fact.v.shape == (sys.size, sys.size)
+        assert fact.dark_pairs.any()
+        with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free"):
+            _, diag = solve_steady_state(sys, 0.01)
+        assert diag.converged
+
+    @pytest.mark.parametrize("fig, n_lattice, coupled", [("fig1", 60, 102), ("fig3", 46, 88)])
+    def test_shipped_sector_sizes(self, fig, n_lattice, coupled):
+        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system()
+        assert sys.index_map.n_lattice == n_lattice
+        assert _SylvesterFactorization(sys, 0.001).v.shape == (sys.size, coupled)
+        _, diag = solve_quietly(sys, 0.001)
+        assert diag.iterations == n_lattice + 2
+
+    def test_fig4_dark_pairs_unchanged(self):
+        sys = parse_config((CONFIGS / "fig4.json").read_text()).build_system()
+        assert int(_SylvesterFactorization(sys, 0.0).dark_pairs.sum()) == 588
+        with pytest.warns(DegenerateSteadyStateWarning) as record:
+            _, diag = solve_steady_state(sys, 0.0)
+        assert len(record) == 1
+        assert diag.iterations == 1
+        assert len(diag.warnings) == 1
