@@ -20,9 +20,15 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   the ring reflection m <-> M - m.  The reflection-odd modes
   (|m> - |M-m>)/sqrt(2) vanish on the contact site and never exchange
   particles or coherence with the rest; their steady state is the
-  target's odd block, exactly.  The per-solve floor is one LAPACK
-  ``zgeev`` at N_e = 102 for fig1/fig2 (N = 140) and N_e = 88 for
-  fig3/fig4 (N = 126).
+  target's odd block, exactly.  When the lattice is mirror-symmetric and
+  the two leads are identical up to mu and beta, A also commutes with the
+  whole-system mirror (lattice site i <-> n - 1 - i, left and right rings
+  swapped), and the coupled sector splits again into a mirror-even and a
+  mirror-odd block.  The split is taken only when that permutation
+  commutes with the coupled block of A to SECTOR_TOL.  The per-solve
+  floor is two LAPACK ``zgeev`` at 51 for fig1/fig2 (N_e = 102, N = 140)
+  and one at N_e = 88 for fig3/fig4 (N = 126), whose flux phases keep
+  the mirror from holding entry by entry.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -40,12 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .leads import CompositeSystem
+from .leads import CompositeSystem, IndexMap
 
 FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
 # Tolerance on every condition that lets the ring-odd sector be split off,
-# relative to the largest entry of H, target, drive and the rates (at least 1).
+# relative to the largest entry of H, target, drive and the rates (at least 1),
+# and on the mirror commuting with the coupled block of A (relative to its
+# largest entry, at least 1).
 SECTOR_TOL = 1e-12
 
 
@@ -214,8 +222,25 @@ def propagate(
     return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
 
 
-def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Real orthonormal basis Q_e of the lattice-coupled sector, and the rest's steady state.
+def _pair_basis(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal bases of the +1 and -1 eigenspaces of an involutive permutation.
+
+    Each pair lo < hi = perm[lo] gives the column (|lo> + |hi>)/sqrt(2) to the
+    + basis and (|lo> - |hi>)/sqrt(2) to the - basis; each fixed point i gives
+    |i> to the + basis.  Columns keep the order of lo (or i).
+    """
+    idx = np.arange(perm.size)
+    lo = np.flatnonzero(perm > idx)
+    hi = perm[lo]
+    q = np.eye(perm.size)
+    q[lo, lo] = q[hi, lo] = q[lo, hi] = np.sqrt(0.5)
+    q[hi, hi] = -np.sqrt(0.5)
+    odd = perm < idx
+    return q[:, ~odd], q[:, odd]
+
+
+def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, IndexMap, np.ndarray]:
+    """Basis Q_e of the lattice-coupled sector, its column layout, and the rest's steady state.
 
     The reflection R maps site m of each lead block to M - m (mod M) and
     fixes the lattice.  Its +1 eigenspace is spanned by the lattice sites,
@@ -228,23 +253,19 @@ def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
     the odd rates G_o are positive definite, so that block has a unique
     solution and no dark pair.  Each check holds to SECTOR_TOL, whatever
     built the system.  Otherwise Q_e is the identity and the returned odd
-    steady state is zero.  The second return value is P_o target P_o with
-    P_o = Q_o Q_o^T, in the site basis.
+    steady state is zero.  The layout is the ``IndexMap`` of Q_e's columns
+    (lattice, then each ring's columns in the order m = 0, 1, ...), and the
+    third return value is P_o target P_o with P_o = Q_o Q_o^T, in the site
+    basis.
     """
     imap = sys.index_map
     n = sys.size
     idx = np.arange(n)
-    mirror = idx.copy()
+    reflection = idx.copy()
     for block in (imap.left, imap.right):
         m = idx[block] - block.start
-        mirror[block] = block.start + (-m) % m.size
-    lo = np.flatnonzero(mirror > idx)
-    hi = mirror[lo]
-    q = np.eye(n)
-    q[lo, lo] = q[hi, lo] = q[lo, hi] = np.sqrt(0.5)
-    q[hi, hi] = -np.sqrt(0.5)
-    odd = mirror < idx
-    q_e, q_o = q[:, ~odd], q[:, odd]
+        reflection[block] = block.start + (-m) % m.size
+    q_e, q_o = _pair_basis(reflection)
 
     half_gamma = 0.5 * sys.gamma_by_index
     mats = (sys.h_total, sys.target, sys.drive)
@@ -259,34 +280,74 @@ def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
         or np.abs(stationary).max(initial=0.0) > tol
         or np.linalg.eigvalsh(g_o).min(initial=np.inf) <= tol
     ):
-        return np.eye(n), np.zeros((n, n), dtype=complex)
-    return q_e, q_o @ t_o @ q_o.T
+        return np.eye(n), imap, np.zeros((n, n), dtype=complex)
+    layout = IndexMap(imap.n_lattice, imap.n_left // 2 + 1, imap.n_right // 2 + 1)
+    return q_e, layout, q_o @ t_o @ q_o.T
+
+
+def _mirror_blocks(
+    q_e: np.ndarray, a_e: np.ndarray, layout: IndexMap
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split A_e = Q_e^T A Q_e by the whole-system mirror where it is a symmetry.
+
+    The mirror maps lattice site i to n_lattice - 1 - i and swaps the two
+    rings site for site.  On the columns of Q_e (see ``_coupled_sector``)
+    it is the permutation r that reverses the lattice columns and swaps
+    each left-ring column with the right-ring column of the same position.
+    When the rings have as many columns and r commutes with A_e to
+    SECTOR_TOL, A_e is block diagonal in r's pair basis (P_+, P_-), and the
+    pairs (Q_e P, P^T A_e P) are returned for both signs.  Only A has to
+    split: the Sylvester solve takes any source, so mu, beta and the target
+    need not be mirror-symmetric.  Otherwise the one pair (Q_e, A_e) is
+    returned.
+    """
+    whole = [(q_e, a_e)]
+    if layout.n_left != layout.n_right:
+        return whole
+    idx = np.arange(layout.size)
+    r = np.concatenate([idx[layout.lattice][::-1], idx[layout.right], idx[layout.left]])
+    tol = SECTOR_TOL * max(1.0, float(np.abs(a_e).max()))
+    if np.abs(a_e[r][:, r] - a_e).max() > tol:
+        return whole
+    return [(q_e @ p, p.T @ a_e @ p) for p in _pair_basis(r)]
 
 
 class _SylvesterFactorization:
-    """Eigendecomposition of A = iH + Delta on the lattice-coupled sector.
+    """Eigendecomposition of A = iH + Delta, one symmetry sector at a time.
 
     A is block diagonal between the coupled sector Q_e and the ring-odd
     sector (see ``_coupled_sector``), so only A_e = Q_e^T A Q_e, of size
     n_lattice + (M_L//2 + 1) + (M_R//2 + 1) (102 for fig1, 88 for fig3),
-    is eigendecomposed: A_e = V diag(lam) V^-1.  ``v = Q_e V`` (N x N_e) and
-    ``vinv = V^-1 Q_e^T`` (N_e x N) act in the site basis, so
-    ``solve(source)`` returns the coupled-sector solution Q_e X_e Q_e^T of
-    A X + X A^dag = S via X_e = V ((vinv S vinv^dag) / D) V^dag with
-    D_ab = lam_a + conj(lam_b).  The odd sector's steady state does not
-    depend on kappa or on the lattice, and is kept as ``rho_odd``.  Pairs
-    with |D| below the guard correspond to conserved (dark) sectors; their
-    components are projected out, which selects the minimal-norm steady
-    state.
+    is eigendecomposed.  Where the whole-system mirror commutes with A_e
+    (see ``_mirror_blocks``), A_e splits further into a mirror-even and a
+    mirror-odd block with bases Q_+ and Q_- (51 + 51 for fig1/fig2; the
+    rhombic fig3/fig4 lattices keep one block of 88), and each block is
+    eigendecomposed on its own: Q_s^T A Q_s = V_s diag(lam_s) V_s^-1.
+    ``lam`` concatenates the blocks' eigenvalues, ``v = [Q_+ V_+, Q_- V_-]``
+    (N x N_e) and ``vinv = [V_+^-1 Q_+^T; V_-^-1 Q_-^T]`` (N_e x N) act in
+    the site basis, so ``solve(source)`` returns the coupled-sector solution
+    Q_e X_e Q_e^T of A X + X A^dag = S via X_e = V ((vinv S vinv^dag) / D)
+    V^dag with D_ab = lam_a + conj(lam_b); the source need not respect any
+    symmetry.  ``block_sizes`` records the block sizes.  The odd sector's
+    steady state does not depend on kappa or on the lattice, and is kept as
+    ``rho_odd``.  Pairs with |D| below the guard correspond to conserved
+    (dark) sectors; their components are projected out, which selects the
+    minimal-norm steady state.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
-        q_e, self.rho_odd = _coupled_sector(sys)
+        q_e, layout, self.rho_odd = _coupled_sector(sys)
         a = 1j * sys.h_total + np.diag(_half_rates(sys, kappa))
-        lam, v = np.linalg.eig(q_e.T @ a @ q_e)
-        self.lam = lam
-        self.v = q_e @ v
-        self.vinv = np.linalg.inv(v) @ q_e.T
+        lams, vs, vinvs = [], [], []
+        for q, a_block in _mirror_blocks(q_e, q_e.T @ a @ q_e, layout):
+            lam, v = np.linalg.eig(a_block)
+            lams.append(lam)
+            vs.append(q @ v)
+            vinvs.append(np.linalg.inv(v) @ q.T)
+        self.block_sizes = tuple(lam.size for lam in lams)
+        self.lam = lam = np.concatenate(lams)
+        self.v = np.hstack(vs)
+        self.vinv = np.vstack(vinvs)
         denom = lam[:, None] + lam[None, :].conj()
         guard = DENOMINATOR_GUARD * max(1.0, float(np.abs(lam).max()))
         self.dark_pairs = np.abs(denom) < guard

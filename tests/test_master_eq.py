@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from edgesense import master_eq
 from edgesense.config import parse_config
-from edgesense.lattice import build_rhombic, build_ssh
+from edgesense.lattice import build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite
 from edgesense.master_eq import (
     SPDM,
@@ -24,6 +25,7 @@ from edgesense.master_eq import (
     spdm_to_json,
     _SylvesterFactorization,
 )
+from edgesense.observables import current_profile
 
 from conftest import MU_BIAS, make_ssh_system
 
@@ -332,14 +334,18 @@ def without_reflection(name):
 
 class TestCoupledSector:
     @pytest.mark.parametrize("beta", [np.inf, 5.0, 0.0], ids=["beta=inf", "beta=5", "beta=0"])
-    @pytest.mark.parametrize("rings", [(4, 4), (5, 5), (8, 8), (5, 8), (8, 4)], ids=str)
+    @pytest.mark.parametrize("rings", [(4, 4), (5, 5), (8, 8), (5, 8), (8, 4), (4, 5)], ids=str)
     def test_reduction_matches_oracle(self, rings, beta):
         sys = two_ring_system(*rings, beta=beta)
         assert sys.size <= 40
         p_odd = odd_projector(sys)
+        n_e = 4 + rings[0] // 2 + 1 + rings[1] // 2 + 1
+        # equal rings keep the whole-system mirror: two blocks of n_e / 2
+        blocks = (n_e // 2, n_e // 2) if rings[0] == rings[1] else (n_e,)
         for kappa in (0.0, 0.01, 3.0):
             fact = _SylvesterFactorization(sys, kappa)
-            assert fact.v.shape == (sys.size, 4 + rings[0] // 2 + 1 + rings[1] // 2 + 1)
+            assert fact.v.shape == (sys.size, n_e)
+            assert fact.block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
             full, _ = solve_quietly(sys, kappa, FULL)
             assert_allclose(rho.matrix, full.matrix, atol=1e-10)
@@ -396,3 +402,76 @@ class TestCoupledSector:
         assert len(record) == 1
         assert diag.iterations == 1
         assert len(diag.warnings) == 1
+
+
+def mirror_test_system(name):
+    """A small system whose whole-system mirror holds or is broken in one way."""
+    leads = RingLead(size=4, mu=0.3, beta=5.0), RingLead(size=4, mu=-0.02, beta=5.0)
+    if name == "odd-uniform-chain":
+        # the mirror fixes the middle site
+        return assemble_composite(build_ssh(5, 1.0, 1.0, allow_odd_length=True), *leads, 0.2)
+    if name == "unequal-gammas":
+        right = dataclasses.replace(leads[1], gamma=0.08)
+        return assemble_composite(build_ssh(4, 0.5, 1.0), leads[0], right, 0.2)
+    if name == "odd-ssh-chain":
+        return assemble_composite(build_ssh(5, 0.5, 1.0, allow_odd_length=True), *leads, 0.2)
+    if name == "custom-onsite":
+        hop = -0.5 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        sys = assemble_composite(build_custom(hop), *leads, 0.2)
+        h = sys.h_total.copy()
+        h[1, 1] += 0.1
+        return dataclasses.replace(sys, h_total=h)
+    assert name == "rhombic-chain"
+    return assemble_composite(build_rhombic(3, 1.0, 2.74), *leads, 0.2)
+
+
+# name: (block sizes, kappas).  Only the odd uniform chain keeps the mirror
+# (its middle site is a fixed point); each other case breaks it one way.
+# Unequal rings are inputs of TestCoupledSector.test_reduction_matches_oracle.
+MIRROR_CASES = {
+    "odd-uniform-chain": ((6, 5), (0.0, 0.01, 3.0)),
+    "unequal-gammas": ((10,), (0.0, 0.01, 3.0)),
+    "odd-ssh-chain": ((11,), (0.0, 0.01, 3.0)),
+    "custom-onsite": ((10,), (0.0, 0.01, 3.0)),
+    # at kappa = 0 the rhombic chain holds caged, dark lattice states
+    "rhombic-chain": ((16,), (0.01, 3.0)),
+}
+
+
+class TestMirrorSector:
+    @pytest.mark.parametrize(
+        "fig, blocks", [("fig1", (51, 51)), ("fig2", (51, 51)), ("fig3", (88,)), ("fig4", (88,))]
+    )
+    def test_shipped_block_sizes(self, fig, blocks):
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        fact = _SylvesterFactorization(cfg.build_system(), 0.001)
+        assert fact.block_sizes == blocks
+        assert fact.lam.shape == (sum(blocks),)
+
+    @pytest.mark.parametrize("name", list(MIRROR_CASES))
+    def test_split_only_under_the_mirror(self, name):
+        # leads with unequal mu and beta < inf: the target breaks the mirror,
+        # which the split must tolerate, since only A has to decouple
+        blocks, kappas = MIRROR_CASES[name]
+        sys = mirror_test_system(name)
+        for kappa in kappas:
+            assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
+            rho, diag = solve_quietly(sys, kappa)
+            full, _ = solve_quietly(sys, kappa, FULL)
+            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert diag.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "fig, kappa, gate",
+        [("fig1", 0.0, 0.0), ("fig1", 0.0, 0.3), ("fig2", 1e-4, 0.0), ("fig2", 3e-3, 0.0)],
+    )
+    def test_split_matches_one_block(self, monkeypatch, fig, kappa, gate):
+        # the same formula with eig of the whole coupled block
+        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system(gate=gate)
+        assert _SylvesterFactorization(sys, kappa).block_sizes == (51, 51)
+        split = current_profile(solve_quietly(sys, kappa)[0], sys)
+        monkeypatch.setattr(master_eq, "_mirror_blocks", lambda q_e, a_e, layout: [(q_e, a_e)])
+        assert _SylvesterFactorization(sys, kappa).block_sizes == (102,)
+        whole = current_profile(solve_quietly(sys, kappa)[0], sys)
+        assert abs(split.mean - whole.mean) <= 1e-9 * abs(whole.mean)
+        assert split.max_deviation <= 1e-6 * abs(split.mean)
