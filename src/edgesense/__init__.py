@@ -39,7 +39,6 @@ from .config import (
 )
 from .experiments import (
     EsakiTsuFit,
-    EsakiTsuFitError,
     PeakMetrics,
     SweepTable,
     conduction_window,

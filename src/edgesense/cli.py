@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, apply_overrides, parse_config_dict
 from .experiments import (
-    EsakiTsuFitError,
     _fmt,
     _one_blas_thread,
     fit_esaki_tsu,
@@ -134,7 +133,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             "jbar": profile.mean,
             "max_deviation": profile.max_deviation,
             "populations": [float(p) for p in pops],
-            "spdm": json.loads(spdm_to_json(rho)),
+            "spdm": spdm_to_json(rho),
         },
         "diagnostics": {
             "method": diag.method.value,
@@ -198,16 +197,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     table = read_sweep_csv(args.table)
-    try:
-        fit = fit_esaki_tsu(table)
-    except EsakiTsuFitError as err:
-        _emit_error(
-            "fit",
-            str(err),
-            grid_best={"a": err.best.a, "c": err.best.c,
-                       "relative_residual": err.best.relative_residual},
-        )
-        return EXIT_ERROR
+    fit = fit_esaki_tsu(table)
     wall = time.perf_counter() - t0
 
     payload = {

@@ -14,21 +14,15 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   A = iH + Delta turns every solve of A rho + rho A^dag = S into two
   basis rotations.  The dephasing back-feed only couples to the lattice
   diagonal, so its fixed point is pinned down exactly by one small
-  linear solve over that diagonal.  Only the lattice-coupled sector is
-  eigendecomposed: each ring lead touches the lattice at its site 0 and
-  relaxes uniformly, so H, the rates and the thermal target commute with
-  the ring reflection m <-> M - m.  The reflection-odd modes
-  (|m> - |M-m>)/sqrt(2) vanish on the contact site and never exchange
-  particles or coherence with the rest; their steady state is the
-  target's odd block, exactly.  When the lattice is mirror-symmetric and
-  the two leads are identical up to mu and beta, A also commutes with the
-  whole-system mirror (lattice site i <-> n - 1 - i, left and right rings
-  swapped), and the coupled sector splits again into a mirror-even and a
-  mirror-odd block.  The split is taken only when that permutation
-  commutes with the coupled block of A to SECTOR_TOL.  The per-solve
-  floor is two LAPACK ``zgeev`` at 51 for fig1/fig2 (N_e = 102, N = 140)
-  and one at N_e = 88 for fig3/fig4 (N = 126), whose flux phases keep
-  the mirror from holding entry by entry.
+  linear solve over that diagonal.  A is eigendecomposed one symmetry
+  block at a time, by one rule: an involutive site permutation that
+  commutes with A splits it into the permutation's even and odd blocks.
+  The ring reflection m <-> M - m drops its odd block, whose modes vanish
+  on the contact site and whose steady state is the target's odd block;
+  the whole-system mirror (lattice site i <-> n - 1 - i, rings swapped)
+  then halves what is left.  The per-solve floor is two LAPACK ``zgeev``
+  at 51 for fig1/fig2 (N = 140) and one at 88 for fig3/fig4 (N = 126),
+  whose flux phases keep the mirror from holding entry by entry.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -39,7 +33,6 @@ for the transient.
 from __future__ import annotations
 
 import enum
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -50,10 +43,9 @@ from .leads import CompositeSystem, IndexMap
 
 FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
-# Tolerance on every condition that lets the ring-odd sector be split off,
-# relative to the largest entry of H, target, drive and the rates (at least 1),
-# and on the mirror commuting with the coupled block of A (relative to its
-# largest entry, at least 1).
+# Tolerance on every condition for a symmetry split of A = iH + Delta (a
+# permutation commuting with A, and the ring-odd block's steady state),
+# relative to the largest entry of A and at least 1.
 SECTOR_TOL = 1e-12
 
 
@@ -222,6 +214,11 @@ def propagate(
     return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
 
 
+def _commutes(perm: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Whether the permutation perm of x's indices commutes with the matrix x, to tol."""
+    return float(np.abs(x[np.ix_(perm, perm)] - x).max(initial=0.0)) <= tol
+
+
 def _pair_basis(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real orthonormal bases of the +1 and -1 eigenspaces of an involutive permutation.
 
@@ -239,111 +236,97 @@ def _pair_basis(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q[:, ~odd], q[:, odd]
 
 
-def _coupled_sector(sys: CompositeSystem) -> tuple[np.ndarray, IndexMap, np.ndarray]:
-    """Basis Q_e of the lattice-coupled sector, its column layout, and the rest's steady state.
+def _drop_ring_odd(
+    sys: CompositeSystem, a: np.ndarray, half: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis left once the ring reflection drops its odd block, and that block's steady state.
 
-    The reflection R maps site m of each lead block to M - m (mod M) and
-    fixes the lattice.  Its +1 eigenspace is spanned by the lattice sites,
-    each ring's site 0, the pair sums (|m> + |M-m>)/sqrt(2) and, for even M,
-    |M/2>: those columns form Q_e.  The pair differences form Q_o.  The odd
-    sector is split off only when it provably decouples: Q_e^T X Q_o
-    vanishes for X = H, target, drive and the rates; target_o is stationary
-    under the odd block of the generator, -i[H_o, target_o] - {G_o,
-    target_o} + drive_o = 0 (for a ring, H_o commutes with target_o); and
-    the odd rates G_o are positive definite, so that block has a unique
-    solution and no dark pair.  Each check holds to SECTOR_TOL, whatever
-    built the system.  Otherwise Q_e is the identity and the returned odd
-    steady state is zero.  The layout is the ``IndexMap`` of Q_e's columns
-    (lattice, then each ring's columns in the order m = 0, 1, ...), and the
-    third return value is P_o target P_o with P_o = Q_o Q_o^T, in the site
-    basis.
+    The reflection r maps site m of each ring to M - m (mod M) and fixes the
+    lattice; its odd modes vanish on the contact sites.  The odd block Q_o
+    is dropped, with steady state P_o target P_o (P_o = Q_o Q_o^T), when r
+    commutes with A, that state is stationary, A rho + rho A^dag = P_o drive
+    with P_o X = (X - X[r])/2 (which also rules out a drive between the odd
+    and even blocks), and every odd mode relaxes, so the odd block has one
+    steady state and no dark pair.  Otherwise the basis is the identity and
+    the steady state zero.
     """
     imap = sys.index_map
-    n = sys.size
-    idx = np.arange(n)
-    reflection = idx.copy()
+    n = imap.size
+    r = np.arange(n)
     for block in (imap.left, imap.right):
-        m = idx[block] - block.start
-        reflection[block] = block.start + (-m) % m.size
-    q_e, q_o = _pair_basis(reflection)
-
-    half_gamma = 0.5 * sys.gamma_by_index
-    mats = (sys.h_total, sys.target, sys.drive)
-    scale = max(1.0, float(half_gamma.max(initial=0.0)), *(float(np.abs(x).max()) for x in mats))
-    tol = SECTOR_TOL * scale
-    xq = [x @ q_o for x in mats] + [half_gamma[:, None] * q_o]
-    leak = max(float(np.abs(q_e.T @ y).max(initial=0.0)) for y in xq)
-    h_o, t_o, d_o, g_o = (q_o.T @ y for y in xq)
-    stationary = -1j * (h_o @ t_o - t_o @ h_o) - (g_o @ t_o + t_o @ g_o) + d_o
+        m = r[block] - block.start
+        r[block] = block.start + (-m) % m.size
+    q, q_o = _pair_basis(r)
+    rho_odd = q_o @ (q_o.T @ (sys.target @ q_o)) @ q_o.T
+    # A rho_odd + rho_odd A^dag - P_o drive; rho_odd is zero off the rings
+    rings = slice(imap.n_lattice, n)
+    x = a[:, rings] @ rho_odd[rings, rings]
+    stationary = 0.5 * (sys.drive[r] - sys.drive)
+    stationary[:, rings] += x
+    stationary[rings] += x.conj().T
     if (
-        leak > tol
-        or np.abs(stationary).max(initial=0.0) > tol
-        or np.linalg.eigvalsh(g_o).min(initial=np.inf) <= tol
+        _commutes(r, a, tol)
+        and np.abs(stationary).max() <= tol
+        and half[r < np.arange(n)].min(initial=np.inf) > tol
     ):
-        return np.eye(n), imap, np.zeros((n, n), dtype=complex)
-    layout = IndexMap(imap.n_lattice, imap.n_left // 2 + 1, imap.n_right // 2 + 1)
-    return q_e, layout, q_o @ t_o @ q_o.T
+        return q, rho_odd
+    return np.eye(n), np.zeros((n, n), dtype=complex)
 
 
-def _mirror_blocks(
-    q_e: np.ndarray, a_e: np.ndarray, layout: IndexMap
+def _mirror_split(
+    imap: IndexMap, q: np.ndarray, a_q: np.ndarray, tol: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split A_e = Q_e^T A Q_e by the whole-system mirror where it is a symmetry.
+    """Blocks (Q_s, Q_s^T A Q_s) of the basis q, given a_q = q^T A q.
 
-    The mirror maps lattice site i to n_lattice - 1 - i and swaps the two
-    rings site for site.  On the columns of Q_e (see ``_coupled_sector``)
-    it is the permutation r that reverses the lattice columns and swaps
-    each left-ring column with the right-ring column of the same position.
-    When the rings have as many columns and r commutes with A_e to
-    SECTOR_TOL, A_e is block diagonal in r's pair basis (P_+, P_-), and the
-    pairs (Q_e P, P^T A_e P) are returned for both signs.  Only A has to
-    split: the Sylvester solve takes any source, so mu, beta and the target
-    need not be mirror-symmetric.  Otherwise the one pair (Q_e, A_e) is
-    returned.
+    The mirror maps lattice site i to n_lattice - 1 - i and left ring site
+    m to right ring site m, and q's columns onto each other as
+    argmax(q^T q[mirror], axis=0).  Where the rings have equal size and the
+    mirror commutes with a_q, q splits into its two blocks; otherwise
+    (q, a_q) is the one block.  Only A has to split, since the solve takes
+    any source: mu, beta and the target need not be mirror-symmetric.
     """
-    whole = [(q_e, a_e)]
-    if layout.n_left != layout.n_right:
-        return whole
-    idx = np.arange(layout.size)
-    r = np.concatenate([idx[layout.lattice][::-1], idx[layout.right], idx[layout.left]])
-    tol = SECTOR_TOL * max(1.0, float(np.abs(a_e).max()))
-    if np.abs(a_e[r][:, r] - a_e).max() > tol:
-        return whole
-    return [(q_e @ p, p.T @ a_e @ p) for p in _pair_basis(r)]
+    if imap.n_left == imap.n_right:
+        idx = np.arange(imap.size)
+        mirror = np.concatenate([idx[imap.lattice][::-1], idx[imap.right], idx[imap.left]])
+        s = np.argmax(q.T @ q[mirror], axis=0)
+        if _commutes(s, a_q, tol):
+            return [(q @ p, p.T @ a_q @ p) for p in _pair_basis(s)]
+    return [(q, a_q)]
 
 
 class _SylvesterFactorization:
-    """Eigendecomposition of A = iH + Delta, one symmetry sector at a time.
+    """Eigendecomposition of A = iH + Delta, one symmetry block at a time.
 
-    A is block diagonal between the coupled sector Q_e and the ring-odd
-    sector (see ``_coupled_sector``), so only A_e = Q_e^T A Q_e, of size
-    n_lattice + (M_L//2 + 1) + (M_R//2 + 1) (102 for fig1, 88 for fig3),
-    is eigendecomposed.  Where the whole-system mirror commutes with A_e
-    (see ``_mirror_blocks``), A_e splits further into a mirror-even and a
-    mirror-odd block with bases Q_+ and Q_- (51 + 51 for fig1/fig2; the
-    rhombic fig3/fig4 lattices keep one block of 88), and each block is
-    eigendecomposed on its own: Q_s^T A Q_s = V_s diag(lam_s) V_s^-1.
-    ``lam`` concatenates the blocks' eigenvalues, ``v = [Q_+ V_+, Q_- V_-]``
-    (N x N_e) and ``vinv = [V_+^-1 Q_+^T; V_-^-1 Q_-^T]`` (N_e x N) act in
-    the site basis, so ``solve(source)`` returns the coupled-sector solution
-    Q_e X_e Q_e^T of A X + X A^dag = S via X_e = V ((vinv S vinv^dag) / D)
-    V^dag with D_ab = lam_a + conj(lam_b); the source need not respect any
-    symmetry.  ``block_sizes`` records the block sizes.  The odd sector's
-    steady state does not depend on kappa or on the lattice, and is kept as
-    ``rho_odd``.  Pairs with |D| below the guard correspond to conserved
-    (dark) sectors; their components are projected out, which selects the
-    minimal-norm steady state.
+    One rule splits A: an involutive site permutation that commutes with A
+    (``_commutes``, to SECTOR_TOL) makes it block diagonal in the
+    permutation's pair basis (``_pair_basis``).  The ring reflection drops
+    its odd block, kept as ``rho_odd`` (``_drop_ring_odd``), and the
+    whole-system mirror then splits whatever basis is left
+    (``_mirror_split``): two blocks of 51 for fig1/fig2 (N = 140), and one
+    of 88 for fig3/fig4 (N = 126), whose rhombic flux phases break the
+    mirror entry by entry.  ``block_sizes`` records them.  Each block with
+    basis Q_s is eigendecomposed on its own, Q_s^T A Q_s = V_s diag(lam_s)
+    V_s^-1.  ``lam`` concatenates the eigenvalues, and ``v = [Q_1 V_1, ...]``
+    and ``vinv = [V_1^-1 Q_1^T; ...]`` act in the site basis, so
+    ``solve(source)`` returns the kept blocks' solution of A X + X A^dag = S
+    as v ((vinv S vinv^dag) / D) v^dag with D_ab = lam_a + conj(lam_b); the
+    source need not respect either symmetry.  Pairs with |D| below the guard
+    correspond to conserved (dark) sectors; their components are projected
+    out, which selects the minimal-norm steady state.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
-        q_e, layout, self.rho_odd = _coupled_sector(sys)
-        a = 1j * sys.h_total + np.diag(_half_rates(sys, kappa))
+        half = _half_rates(sys, kappa)
+        a = 1j * sys.h_total + np.diag(half)
+        tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
+
+        q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
         lams, vs, vinvs = [], [], []
-        for q, a_block in _mirror_blocks(q_e, q_e.T @ a @ q_e, layout):
-            lam, v = np.linalg.eig(a_block)
+        for q_s, a_s in _mirror_split(sys.index_map, q, q.T @ a @ q, tol):
+            lam, v = np.linalg.eig(a_s)
             lams.append(lam)
-            vs.append(q @ v)
-            vinvs.append(np.linalg.inv(v) @ q.T)
+            vs.append(q_s @ v)
+            vinvs.append(np.linalg.inv(v) @ q_s.T)
         self.block_sizes = tuple(lam.size for lam in lams)
         self.lam = lam = np.concatenate(lams)
         self.v = np.hstack(vs)
@@ -497,13 +480,11 @@ def solve_steady_state(
     return SPDM(matrix=m, index_map=sys.index_map, time=np.inf), diag
 
 
-def spdm_to_json(rho: SPDM) -> str:
-    """Serialize an SPDM; the matrix is stored row-major as [re, im] pairs."""
+def spdm_to_json(rho: SPDM) -> dict:
+    """JSON object of an SPDM; the matrix is stored row-major as [re, im] pairs."""
     m = rho.matrix
-    labels = rho.index_map.labels() if rho.index_map is not None else None
-    payload = {
+    return {
         "N": m.shape[0],
-        "index_map": labels,
-        "matrix": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "index_map": rho.index_map.labels() if rho.index_map is not None else None,
+        "matrix": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
     }
-    return json.dumps(payload, sort_keys=True)

@@ -274,13 +274,14 @@ class TestSteadyState:
 
     def test_spdm_json_payload(self, small_system):
         rho, _ = solve_steady_state(small_system, 0.0)
-        payload = json.loads(spdm_to_json(rho))
+        payload = spdm_to_json(rho)
         assert payload["N"] == 20
         assert payload["index_map"] == ["lattice"] * 4 + ["left_lead"] * 8 + ["right_lead"] * 8
         assert len(payload["matrix"]) == 400
         re, im = payload["matrix"][0]
         assert_allclose(complex(re, im), rho.matrix[0, 0], atol=0)
-        bare = json.loads(spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex))))
+        assert json.loads(json.dumps(payload)) == payload
+        bare = spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex)))
         assert bare["index_map"] is None
 
 
@@ -324,6 +325,33 @@ def without_reflection(name):
         gamma = sys.gamma_by_index.copy()
         gamma[l0 + 1] *= 3.0
         return dataclasses.replace(sys, gamma_by_index=gamma)
+    # The next three break exactly one of the split's conditions each.
+    if name == "lattice-to-empty-odd-mode":
+        # R no longer commutes with H; the odd target stays stationary, as
+        # the odd mode the lattice reaches (k = 3, above mu) is empty
+        m = np.arange(left.stop - l0)
+        odd_mode = np.sin(2 * np.pi * 3 * m / m.size) / np.sqrt(m.size / 2)
+        assert np.abs(sys.target[left, left] @ odd_mode).max() < 1e-15
+        h[1, left] = h[left, 1] = 0.1 * odd_mode
+        return dataclasses.replace(sys, h_total=h)
+    if name == "uneven-rates-in-empty-ring":
+        # R no longer commutes with the rates; the left ring's target is
+        # zero, so its odd block is trivially stationary
+        gamma, target = sys.gamma_by_index.copy(), sys.target.copy()
+        gamma[l0 + 1] *= 3.0
+        target[left, left] = 0.0
+        return dataclasses.replace(
+            sys, gamma_by_index=gamma, target=target, drive=gamma[:, None] * target
+        )
+    if name == "drive-couples-odd-to-even":
+        # R commutes with A and the odd target is unchanged, but the drive
+        # feeds odd-even coherences: only the stationarity check sees it
+        p_odd = odd_projector(sys)
+        x = np.zeros_like(h)
+        x[left, left] = random_hermitian(left.stop - l0, seed=7)
+        p_even = np.eye(sys.size) - p_odd
+        extra = p_odd @ x @ p_even
+        return dataclasses.replace(sys, drive=sys.drive + 0.01 * (extra + extra.conj().T))
     # target commutes with the reflection but is not stationary in the odd sector
     x = random_hermitian(left.stop - l0, seed=6)
     mirror = (-np.arange(x.shape[0])) % x.shape[0]
@@ -356,7 +384,16 @@ class TestCoupledSector:
             assert np.abs((np.eye(sys.size) - p_odd) @ rho.matrix @ p_odd).max() < 1e-12
 
     @pytest.mark.parametrize(
-        "name", ["contact-at-site-1", "random-lead-block", "uneven-ring-rates", "odd-target-not-stationary"]
+        "name",
+        [
+            "contact-at-site-1",
+            "random-lead-block",
+            "uneven-ring-rates",
+            "odd-target-not-stationary",
+            "lattice-to-empty-odd-mode",
+            "uneven-rates-in-empty-ring",
+            "drive-couples-odd-to-even",
+        ],
     )
     def test_no_reflection_solves_in_full_basis(self, name):
         sys = without_reflection(name)
@@ -421,15 +458,28 @@ def mirror_test_system(name):
         h = sys.h_total.copy()
         h[1, 1] += 0.1
         return dataclasses.replace(sys, h_total=h)
+    if name == "both-contacts-at-site-1":
+        # both rings break the ring reflection alike, so the mirror splits
+        # the full basis
+        sys = assemble_composite(build_ssh(4, 0.5, 1.0), *leads, 0.2)
+        h = sys.h_total.copy()
+        for block in (sys.index_map.left, sys.index_map.right):
+            contact = h[:4, block.start].copy()
+            h[:4, block.start] = h[block.start, :4] = 0.0
+            h[:4, block.start + 1] = contact
+            h[block.start + 1, :4] = contact.conj()
+        return dataclasses.replace(sys, h_total=h)
     assert name == "rhombic-chain"
     return assemble_composite(build_rhombic(3, 1.0, 2.74), *leads, 0.2)
 
 
-# name: (block sizes, kappas).  Only the odd uniform chain keeps the mirror
-# (its middle site is a fixed point); each other case breaks it one way.
+# name: (block sizes, kappas).  Only the odd uniform chain (whose middle
+# site is a fixed point) and the chain with both contacts moved keep the
+# mirror; each other case breaks it one way.
 # Unequal rings are inputs of TestCoupledSector.test_reduction_matches_oracle.
 MIRROR_CASES = {
     "odd-uniform-chain": ((6, 5), (0.0, 0.01, 3.0)),
+    "both-contacts-at-site-1": ((6, 6), (0.0, 0.01, 3.0)),
     "unequal-gammas": ((10,), (0.0, 0.01, 3.0)),
     "odd-ssh-chain": ((11,), (0.0, 0.01, 3.0)),
     "custom-onsite": ((10,), (0.0, 0.01, 3.0)),
@@ -470,7 +520,7 @@ class TestMirrorSector:
         sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system(gate=gate)
         assert _SylvesterFactorization(sys, kappa).block_sizes == (51, 51)
         split = current_profile(solve_quietly(sys, kappa)[0], sys)
-        monkeypatch.setattr(master_eq, "_mirror_blocks", lambda q_e, a_e, layout: [(q_e, a_e)])
+        monkeypatch.setattr(master_eq, "_mirror_split", lambda imap, q, a_q, tol: [(q, a_q)])
         assert _SylvesterFactorization(sys, kappa).block_sizes == (102,)
         whole = current_profile(solve_quietly(sys, kappa)[0], sys)
         assert abs(split.mean - whole.mean) <= 1e-9 * abs(whole.mean)
