@@ -380,6 +380,9 @@ class EsakiTsuFit:
         return self.a * k / (k**2 + self.c)
 
 
+# kappa^2 and c overflow to inf for kappa above about 1e154; the zero norm
+# of phi then reports it
+@np.errstate(over="ignore")
 def _grid_scan(k: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     c_grid = np.logspace(
         2.0 * math.log10(k.min()) - 2.0, 2.0 * math.log10(k.max()) + 2.0, 241
@@ -387,7 +390,10 @@ def _grid_scan(k: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     best: tuple[float, float, float] | None = None
     for c in c_grid:
         phi = k / (k**2 + c)
-        a = float(j @ phi) / float(phi @ phi)
+        norm2 = float(phi @ phi)
+        if norm2 == 0.0:
+            raise ValueError("kappa values are too large to fit: kappa/(kappa^2 + c) underflows to 0")
+        a = float(j @ phi) / norm2
         sse = float(np.sum((j - a * phi) ** 2))
         if best is None or sse < best[0]:
             best = (sse, a, c)
@@ -416,8 +422,10 @@ def fit_esaki_tsu(table: SweepTable) -> EsakiTsuFit:
     if np.any(j <= 0):
         raise ValueError("currents must be nonzero and of one sign")
 
-    sse, a, c = _grid_scan(k, j)
     norm = float(np.linalg.norm(j))
+    if norm == 0.0:
+        raise ValueError("currents are too small to fit: the norm of the currents underflows to 0")
+    sse, a, c = _grid_scan(k, j)
     # checked like a fit: Gauss-Newton keeps a > 0 and c > 0 only from such a seed
     EsakiTsuFit(a=a, c=c, relative_residual=math.sqrt(sse) / norm)
 

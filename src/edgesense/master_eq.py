@@ -15,14 +15,18 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   basis rotations.  The dephasing back-feed only couples to the lattice
   diagonal, so its fixed point is pinned down exactly by one small
   linear solve over that diagonal.  A is eigendecomposed one symmetry
-  block at a time, by one rule: an involutive site permutation that
-  commutes with A splits it into the permutation's even and odd blocks.
-  The ring reflection m <-> M - m drops its odd block, whose modes vanish
-  on the contact site and whose steady state is the target's odd block;
-  the whole-system mirror (lattice site i <-> n - 1 - i, rings swapped)
-  then halves what is left.  The per-solve floor is two LAPACK ``zgeev``
-  at 51 for fig1/fig2 (N = 140) and one at 88 for fig3/fig4 (N = 126),
-  whose flux phases keep the mirror from holding entry by entry.
+  block at a time, by one rule: an involution S that permutes the sites,
+  up to a phase per site, and commutes with A splits it into S's +1 and
+  -1 blocks.  The ring reflection m <-> M - m drops its odd block, whose
+  modes vanish on the contact site and whose steady state is the
+  target's odd block; the whole-system mirror (lattice site i <-> n - 1 - i,
+  rings swapped) then halves what is left.  The mirror takes phases d,
+  S x = d * x[mirror]: d = 1 on the SSH chains, and on the rhombic chains
+  d undoes the Peierls phases, which the mirror moves from A_n -> B_n onto
+  another bond.  The per-solve floor is two LAPACK ``zgeev`` at 51 for
+  fig1/fig2 (N = 140) and two at 44 for fig3/fig4 (N = 126).  The
+  dephasing reduction is folded by the same mirror: it builds the columns
+  of one half of the lattice from the two blocks and their cross term.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -219,20 +223,24 @@ def _commutes(perm: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return float(np.abs(x[np.ix_(perm, perm)] - x).max(initial=0.0)) <= tol
 
 
-def _pair_basis(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real orthonormal bases of the +1 and -1 eigenspaces of an involutive permutation.
+def _pair_basis(perm: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the +1 and -1 eigenspaces of the involution S x = d * x[perm].
 
-    Each pair lo < hi = perm[lo] gives the column (|lo> + |hi>)/sqrt(2) to the
-    + basis and (|lo> - |hi>)/sqrt(2) to the - basis; each fixed point i gives
-    |i> to the + basis.  Columns keep the order of lo (or i).
+    Each pair lo < hi = perm[lo] gives the column (|lo> + d_hi |hi>)/sqrt(2) to
+    the + basis and (|lo> - d_hi |hi>)/sqrt(2) to the - basis; each fixed point
+    i gives |i> to the basis of the sign of d_i.  Columns keep the order of lo
+    (or i).  The phases d (unit modulus, d_i d[perm[i]] = 1) default to 1,
+    which gives the real bases of the plain permutation.
     """
+    d = np.ones(perm.size) if d is None else d
     idx = np.arange(perm.size)
     lo = np.flatnonzero(perm > idx)
     hi = perm[lo]
-    q = np.eye(perm.size)
+    q = np.eye(perm.size, dtype=d.dtype)
     q[lo, lo] = q[hi, lo] = q[lo, hi] = np.sqrt(0.5)
     q[hi, hi] = -np.sqrt(0.5)
-    odd = perm < idx
+    q[hi] *= d[hi, None]
+    odd = (perm < idx) | ((perm == idx) & (d.real < 0))
     return q[:, ~odd], q[:, odd]
 
 
@@ -273,46 +281,103 @@ def _drop_ring_odd(
     return np.eye(n), np.zeros((n, n), dtype=complex)
 
 
+def _mirror_gauge(s: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray | None:
+    """Phases d with d_i a[s_i, s_j] conj(d_j) = a[i, j] to tol and d_i d[s_i] = 1, or None.
+
+    Then S x = d * x[s] is a unitary involution that commutes with a.  Where
+    s commutes with a itself, d = 1.  Otherwise one depth-first walk over the
+    bonds of a (its entries above tol) fixes d on a spanning tree of each
+    connected part: a bond i -> j sets d_j = d_i * phase(conj(a[i, j]) a[s_i, s_j]).
+    A part's first site takes d = 1, or conj(d) of its image if that is set
+    already; a part mapped onto itself is then rotated by one common phase
+    so that d_i d[s_i] = 1.  The commutation check over every entry of a,
+    with the phases, decides.
+    """
+    n = s.size
+    if _commutes(s, a, tol):
+        return np.ones(n)
+    rows, cols = np.nonzero(np.abs(a) > tol)
+    w = a[rows, cols].conj() * a[s[rows], s[cols]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (w / np.abs(w)).tolist()
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    d: list = [None] * n
+    root = list(range(n))
+    for r in range(n):
+        if d[r] is not None:
+            continue
+        d[r] = 1.0 + 0j if d[s[r]] is None else d[s[r]].conjugate()
+        stack = [r]
+        while stack:
+            i = stack.pop()
+            for k in range(starts[i], starts[i + 1]):
+                j = cols[k]
+                if d[j] is None:
+                    d[j] = d[i] * w[k]
+                    root[j] = r
+                    stack.append(j)
+    d = np.array(d)
+    root = np.array(root)
+    d /= np.sqrt(d[root] * d[s[root]])
+    if np.abs(d[:, None] * a[np.ix_(s, s)] * d.conj() - a).max() <= tol:
+        return d
+    return None
+
+
 def _mirror_split(
     imap: IndexMap, q: np.ndarray, a_q: np.ndarray, tol: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (Q_s, Q_s^T A Q_s) of the basis q, given a_q = q^T A q.
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The mirror of q's columns and the blocks (Q_s, Q_s^dag A Q_s), given a_q = q^T A q.
 
     The mirror maps lattice site i to n_lattice - 1 - i and left ring site
     m to right ring site m, and q's columns onto each other as
-    argmax(q^T q[mirror], axis=0).  Where the rings have equal size and the
-    mirror commutes with a_q, q splits into its two blocks; otherwise
-    (q, a_q) is the one block.  Only A has to split, since the solve takes
-    any source: mu, beta and the target need not be mirror-symmetric.
+    s = argmax(q^T q[mirror], axis=0).  Where the rings have equal size and
+    a gauge d makes S x = d * x[s] commute with a_q (``_mirror_gauge``), q
+    splits into the + and - blocks of S (``_pair_basis``): d = 1 on the SSH
+    chains, and the Peierls phases of the rhombic chains need d != 1.
+    Otherwise the mirror is the identity and (q, a_q) the one block.  Only A
+    has to split, since the solve takes any source: mu, beta and the target
+    need not be mirror-symmetric.
     """
     if imap.n_left == imap.n_right:
         idx = np.arange(imap.size)
         mirror = np.concatenate([idx[imap.lattice][::-1], idx[imap.right], idx[imap.left]])
         s = np.argmax(q.T @ q[mirror], axis=0)
-        if _commutes(s, a_q, tol):
-            return [(q @ p, p.T @ a_q @ p) for p in _pair_basis(s)]
-    return [(q, a_q)]
+        d = _mirror_gauge(s, a_q, tol)
+        if d is not None:
+            return s, [(q @ p, p.conj().T @ a_q @ p) for p in _pair_basis(s, d)]
+    return np.arange(q.shape[1]), [(q, a_q)]
+
+
+def _re_row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum_b x[i, b] conj(y[i, b]) for each row i of two C-contiguous complex arrays."""
+    return np.einsum("ij,ij->i", x.view(float), y.view(float))
 
 
 class _SylvesterFactorization:
     """Eigendecomposition of A = iH + Delta, one symmetry block at a time.
 
-    One rule splits A: an involutive site permutation that commutes with A
-    (``_commutes``, to SECTOR_TOL) makes it block diagonal in the
-    permutation's pair basis (``_pair_basis``).  The ring reflection drops
-    its odd block, kept as ``rho_odd`` (``_drop_ring_odd``), and the
-    whole-system mirror then splits whatever basis is left
-    (``_mirror_split``): two blocks of 51 for fig1/fig2 (N = 140), and one
-    of 88 for fig3/fig4 (N = 126), whose rhombic flux phases break the
-    mirror entry by entry.  ``block_sizes`` records them.  Each block with
-    basis Q_s is eigendecomposed on its own, Q_s^T A Q_s = V_s diag(lam_s)
-    V_s^-1.  ``lam`` concatenates the eigenvalues, and ``v = [Q_1 V_1, ...]``
-    and ``vinv = [V_1^-1 Q_1^T; ...]`` act in the site basis, so
-    ``solve(source)`` returns the kept blocks' solution of A X + X A^dag = S
-    as v ((vinv S vinv^dag) / D) v^dag with D_ab = lam_a + conj(lam_b); the
-    source need not respect either symmetry.  Pairs with |D| below the guard
-    correspond to conserved (dark) sectors; their components are projected
-    out, which selects the minimal-norm steady state.
+    One rule splits A: a unitary involution S that permutes the sites up to a
+    phase per site and commutes with A (to SECTOR_TOL) makes it block
+    diagonal in S's pair basis (``_pair_basis``).  The ring reflection, a
+    plain permutation (``_commutes``), drops its odd block, kept as
+    ``rho_odd`` (``_drop_ring_odd``); the whole-system mirror, with the
+    phases that a walk over the bonds of A finds (``_mirror_gauge``), then
+    splits whatever basis is left (``_mirror_split``): two blocks of 51 for
+    fig1/fig2 (N = 140) and two of 44 for fig3/fig4 (N = 126).
+    ``block_sizes`` records them, + block first, and ``lattice_mirror`` is
+    the mirror of the lattice sites (the identity when A does not split).
+    Each block with basis Q_s is eigendecomposed on its own,
+    Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1.  ``lam`` concatenates the
+    eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
+    act in the site basis, so ``solve(source)`` returns the kept blocks'
+    solution of A X + X A^dag = S as v ((vinv S vinv^dag) / D) v^dag with
+    D_ab = lam_a + conj(lam_b); the source need not respect either symmetry.
+    Pairs with |D| below the guard correspond to conserved (dark) sectors;
+    their components are projected out, which selects the minimal-norm
+    steady state.  ``dephasing_map`` is the lattice-diagonal part of
+    ``solve``, folded by the mirror.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
@@ -321,12 +386,15 @@ class _SylvesterFactorization:
         tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
 
         q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
+        mirror, blocks = _mirror_split(sys.index_map, q, q.T @ a @ q, tol)
+        # q's first n_lattice columns are the lattice sites
+        self.lattice_mirror = mirror[: sys.index_map.n_lattice]
         lams, vs, vinvs = [], [], []
-        for q_s, a_s in _mirror_split(sys.index_map, q, q.T @ a @ q, tol):
+        for q_s, a_s in blocks:
             lam, v = np.linalg.eig(a_s)
             lams.append(lam)
             vs.append(q_s @ v)
-            vinvs.append(np.linalg.inv(v) @ q_s.T)
+            vinvs.append(np.linalg.inv(v) @ q_s.conj().T)
         self.block_sizes = tuple(lam.size for lam in lams)
         self.lam = lam = np.concatenate(lams)
         self.v = np.hstack(vs)
@@ -342,6 +410,39 @@ class _SylvesterFactorization:
     def solve(self, source: np.ndarray) -> np.ndarray:
         t = self.vinv @ source @ self.vinv.conj().T
         return self.v @ (t * self.inv_denom) @ self.v.conj().T
+
+    def dephasing_map(self, latt: np.ndarray) -> np.ndarray:
+        """Real M with M[i, j] = Re solve(|latt_j><latt_j|)[latt_i, latt_i].
+
+        Column j is Re diag(v Y_j v^dag) over the lattice rows, with
+        Y_j = (u_j u_j^dag) * inv_denom and u_j = vinv[:, latt_j], taken row by
+        row as Re sum_b (w inv_denom)_ib conj(w_ib) with w = v * u_j^T.  The mirror
+        folds it: S commutes with A, so M[Si, Sj] = M[i, j], and v's rows and
+        vinv's columns at Si are those at i up to a phase and the sign of their
+        block.  For j in the half of the lattice that each mirror pair enters
+        once (lo and the fixed sites), the same-block pairs of Y_j give E and
+        the (+, -) pair X = 2 Re sum; then M[i, j] = M[Si, Sj] = E + X and
+        M[Si, j] = M[i, Sj] = E - X, over rows i in the same half.  Unsplit,
+        the mirror is the identity and there is no - block, so X = 0.
+        """
+        nl = latt.size
+        mir = self.lattice_mirror
+        half = np.flatnonzero(mir >= np.arange(nl))
+        e, o = slice(0, self.block_sizes[0]), slice(self.block_sizes[0], None)
+        v = self.v[latt[half]]
+        v_e, v_o = v[:, e], v[:, o]
+        inv_ee, inv_oo, inv_eo = (
+            np.ascontiguousarray(self.inv_denom[x, y]) for x, y in ((e, e), (o, o), (e, o))
+        )
+        u = self.vinv[:, latt]
+        m = np.empty((nl, nl))
+        for j in half:
+            w_e, w_o = v_e * u[e, j], v_o * u[o, j]
+            same = _re_row_dot(w_e @ inv_ee, w_e) + _re_row_dot(w_o @ inv_oo, w_o)
+            cross = 2.0 * _re_row_dot(w_e @ inv_eo, w_o)
+            m[half, j] = m[mir[half], mir[j]] = same + cross
+            m[mir[half], j] = m[half, mir[j]] = same - cross
+        return m
 
 
 def _solve_sylvester(
@@ -365,14 +466,8 @@ def _solve_sylvester(
         # point iteration that stalls once kappa exceeds the escape rates.
         latt = np.where(sys.lattice_mask)[0]
         nl = latt.size
-        v_latt = fact.v[latt, :]
-        u = fact.vinv[:, latt]
-        m = np.empty((nl, nl))
-        for j in range(nl):
-            y = (u[:, j][:, None] * u[:, j].conj()[None, :]) * fact.inv_denom
-            z = v_latt @ y
-            m[:, j] = np.real(np.sum(z * v_latt.conj(), axis=1))
-            solves += 1
+        m = fact.dephasing_map(latt)
+        solves += nl
         d0 = np.real(rho[latt, latt])
         d = np.linalg.solve(np.eye(nl) - kappa * m, d0)
         source = sys.drive.copy()

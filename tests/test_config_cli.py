@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -16,7 +17,12 @@ from edgesense.config import (
     parse_config,
     parse_config_dict,
 )
-from edgesense.experiments import CSV_HEADER_PREFIX, _openblas_threads, read_sweep_csv
+from edgesense.experiments import (
+    CSV_HEADER_PREFIX,
+    _openblas_threads,
+    read_sweep_csv,
+    write_sweep_csv,
+)
 from edgesense.lattice import RHOMBIC_TERMINATIONS
 from edgesense.leads import MIN_RING_SIZE
 from edgesense.master_eq import SolverMethod
@@ -480,6 +486,22 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
         assert "at least 6" in err["message"]
+
+    def test_fit_underflow_is_an_input_error(self, tmp_path, capsys):
+        # fig4's sweep with its currents scaled by 1e-160: their norm underflows
+        out = tmp_path / "o"
+        cfg = str(CONFIGS / "fig4.json")
+        assert main(["sweep-kappa", "--config", cfg, "--out", str(out)]) == 0
+        table = read_sweep_csv(out / "sweep_kappa.csv")
+        write_sweep_csv(dataclasses.replace(table, current=1e-160 * table.current), out / "tiny.csv")
+        capsys.readouterr()
+        assert main(["fit", str(out / "tiny.csv"), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert "underflows" in err["message"]
+        assert not (out / "esaki_tsu_fit.json").exists()
 
     def test_sweep_axis_mismatch(self, tmp_path, capsys):
         raw = base_raw(sweep={"axis": "kappa", "log_range": [1e-3, 1.0], "points": 6})

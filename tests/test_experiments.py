@@ -161,6 +161,14 @@ class TestEsakiTsuFit:
         assert fit.a > 0 and fit.c > 0
         assert_allclose(fit.c, 0.25, rtol=1e-6)
 
+    def test_underflow_is_a_value_error(self):
+        k = np.logspace(-3, 1, 20)
+        with pytest.raises(ValueError, match="currents are too small"):
+            fit_esaki_tsu(SweepTable("kappa", k, 1e-170 * k / (k**2 + 0.25), np.zeros(20)))
+        huge = np.logspace(160, 163, 20)
+        with pytest.raises(ValueError, match="kappa values are too large"):
+            fit_esaki_tsu(SweepTable("kappa", huge, np.ones(20), np.zeros(20)))
+
     def test_validation(self):
         k5 = np.logspace(-2, 1, 5)
         with pytest.raises(ValueError, match="at least 6"):

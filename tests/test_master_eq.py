@@ -469,13 +469,33 @@ def mirror_test_system(name):
             h[:4, block.start + 1] = contact
             h[block.start + 1, :4] = contact.conj()
         return dataclasses.replace(sys, h_total=h)
-    assert name == "rhombic-chain"
-    return assemble_composite(build_rhombic(3, 1.0, 2.74), *leads, 0.2)
+    rhombic = build_rhombic(3, 1.0, 2.74)
+    if name == "rhombic-chain":
+        # the mirror holds up to the Peierls gauge phases
+        return assemble_composite(rhombic, *leads, 0.2)
+    if name == "rhombic-arm-termination":
+        # odd length: the mirror fixes the middle hub, in a gauge with d != 1
+        return assemble_composite(build_rhombic(2, 1.0, 1.3, termination="arm"), *leads, 0.2)
+    if name == "rhombic-arm-onsite":
+        # an on-site term on one arm site (B1) is gauge-invariant
+        sys = assemble_composite(rhombic, *leads, 0.2)
+        h = sys.h_total.copy()
+        h[1, 1] += 0.1
+        return dataclasses.replace(sys, h_total=h)
+    assert name == "rhombic-unequal-flux"
+    # flux 1.0 through the last cell instead of 2.74: the mirror swaps the
+    # first and last cells, whose fluxes no gauge can change
+    hop = rhombic.hamiltonian.copy()
+    a3, b3 = rhombic.site_labels.index("A3"), rhombic.site_labels.index("B3")
+    hop[b3, a3] = -0.5 * np.exp(1j * 1.0)
+    hop[a3, b3] = np.conj(hop[b3, a3])
+    return assemble_composite(build_custom(hop), *leads, 0.2)
 
 
-# name: (block sizes, kappas).  Only the odd uniform chain (whose middle
-# site is a fixed point) and the chain with both contacts moved keep the
-# mirror; each other case breaks it one way.
+# name: (block sizes, kappas).  The odd uniform chain (whose middle site
+# is a fixed point), the chain with both contacts moved and the rhombic
+# chain (through its gauge phases) keep the mirror; each other case breaks
+# it one way.
 # Unequal rings are inputs of TestCoupledSector.test_reduction_matches_oracle.
 MIRROR_CASES = {
     "odd-uniform-chain": ((6, 5), (0.0, 0.01, 3.0)),
@@ -483,15 +503,41 @@ MIRROR_CASES = {
     "unequal-gammas": ((10,), (0.0, 0.01, 3.0)),
     "odd-ssh-chain": ((11,), (0.0, 0.01, 3.0)),
     "custom-onsite": ((10,), (0.0, 0.01, 3.0)),
-    # at kappa = 0 the rhombic chain holds caged, dark lattice states
-    "rhombic-chain": ((16,), (0.01, 3.0)),
+    # at kappa = 0 the rhombic chains hold caged, dark lattice states
+    "rhombic-chain": ((8, 8), (0.01, 3.0)),
+    "rhombic-arm-termination": ((9, 8), (0.01, 3.0)),
+    "rhombic-arm-onsite": ((16,), (0.01, 3.0)),
+    "rhombic-unequal-flux": ((16,), (0.01, 3.0)),
 }
 
 
+SHIPPED_BLOCKS = {"fig1": (51, 51), "fig2": (51, 51), "fig3": (44, 44), "fig4": (44, 44)}
+
+
+def one_block(imap, q, a_q, tol):
+    """``_mirror_split`` that never splits."""
+    return np.arange(q.shape[1]), [(q, a_q)]
+
+
+def refined(sys, kappa, rho, steps=2):
+    """rho after Newton steps on L rho + drive = 0 through the split factorization.
+
+    The correction delta solves A delta + delta A^dag = r + kappa diag(delta),
+    r = L rho + drive, by the same diagonal reduction as the solver.
+    """
+    fact = _SylvesterFactorization(sys, kappa)
+    latt = np.flatnonzero(sys.lattice_mask)
+    shift = np.eye(latt.size) - kappa * fact.dephasing_map(latt)
+    for _ in range(steps):
+        r = apply_liouvillian(sys, rho, kappa)
+        d = np.linalg.solve(shift, np.real(np.diag(fact.solve(r))[latt]))
+        r[latt, latt] += kappa * d
+        rho = rho + fact.solve(r)
+    return rho
+
+
 class TestMirrorSector:
-    @pytest.mark.parametrize(
-        "fig, blocks", [("fig1", (51, 51)), ("fig2", (51, 51)), ("fig3", (88,)), ("fig4", (88,))]
-    )
+    @pytest.mark.parametrize("fig, blocks", list(SHIPPED_BLOCKS.items()))
     def test_shipped_block_sizes(self, fig, blocks):
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         fact = _SylvesterFactorization(cfg.build_system(), 0.001)
@@ -513,15 +559,65 @@ class TestMirrorSector:
 
     @pytest.mark.parametrize(
         "fig, kappa, gate",
-        [("fig1", 0.0, 0.0), ("fig1", 0.0, 0.3), ("fig2", 1e-4, 0.0), ("fig2", 3e-3, 0.0)],
+        [
+            ("fig1", 0.0, 0.0),
+            ("fig1", 0.0, 0.3),
+            ("fig2", 1e-4, 0.0),
+            ("fig2", 3e-3, 0.0),
+            ("fig3", 1e-3, None),
+            ("fig3", 1.0, None),
+            ("fig4", 1e-3, None),
+            ("fig4", 1.0, None),
+        ],
     )
     def test_split_matches_one_block(self, monkeypatch, fig, kappa, gate):
         # the same formula with eig of the whole coupled block
         sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system(gate=gate)
-        assert _SylvesterFactorization(sys, kappa).block_sizes == (51, 51)
+        blocks = SHIPPED_BLOCKS[fig]
+        assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
         split = current_profile(solve_quietly(sys, kappa)[0], sys)
-        monkeypatch.setattr(master_eq, "_mirror_split", lambda imap, q, a_q, tol: [(q, a_q)])
-        assert _SylvesterFactorization(sys, kappa).block_sizes == (102,)
+        monkeypatch.setattr(master_eq, "_mirror_split", one_block)
+        assert _SylvesterFactorization(sys, kappa).block_sizes == (sum(blocks),)
         whole = current_profile(solve_quietly(sys, kappa)[0], sys)
         assert abs(split.mean - whole.mean) <= 1e-9 * abs(whole.mean)
         assert split.max_deviation <= 1e-6 * abs(split.mean)
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig4"])
+    def test_split_closer_than_one_block_at_large_kappa(self, monkeypatch, fig):
+        # At kappa = 100, I - kappa M has condition number 2e3 and the current
+        # is a small gradient of the lattice diagonal, so the one-block solve
+        # is itself 7e-9 (fig3) and 1.5e-8 (fig4) from the refined current,
+        # and the split 7e-10 and 1e-10: each is held against the refined
+        # current instead of against the other.
+        kappa = 100.0
+        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system()
+        rho = solve_quietly(sys, kappa)[0]
+        split = current_profile(rho, sys)
+        exact = current_profile(SPDM(refined(sys, kappa, rho.matrix)), sys).mean
+        monkeypatch.setattr(master_eq, "_mirror_split", one_block)
+        whole = current_profile(solve_quietly(sys, kappa)[0], sys).mean
+        assert abs(split.mean - exact) <= abs(whole - exact)
+        assert split.max_deviation <= 1e-6 * abs(split.mean)
+
+    @pytest.mark.parametrize(
+        "name", ["fig2", "fig4", "odd-uniform-chain", "rhombic-unequal-flux"]
+    )
+    def test_folded_dephasing_map(self, name):
+        # M against its definition, one unit source per lattice site
+        if name.startswith("fig"):
+            sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
+        else:
+            sys = mirror_test_system(name)
+        fact = _SylvesterFactorization(sys, 0.01)
+        latt = np.flatnonzero(sys.lattice_mask)
+        if name == "rhombic-unequal-flux":
+            assert fact.block_sizes == (16,)
+        else:
+            assert len(fact.block_sizes) == 2
+        direct = np.empty((latt.size, latt.size))
+        for j, site in enumerate(latt):
+            source = np.zeros((sys.size, sys.size), dtype=complex)
+            source[site, site] = 1.0
+            direct[:, j] = np.real(np.diag(fact.solve(source))[latt])
+        folded = fact.dephasing_map(latt)
+        assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
