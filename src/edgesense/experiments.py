@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .master_eq import SolverError, solve_steady_state
+from .master_eq import SolverError, share_sectors, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -193,7 +193,7 @@ def _run_sweep(
     converged = np.zeros(n)
 
     def run_row(i: int) -> None:
-        system = make_system(i)
+        system = first if i == 0 else share_sectors(make_system(i), first)
         try:
             rho, diag = solve_steady_state(system, kappa_of(i), cfg.solver)
         except SolverError as err:
@@ -209,6 +209,9 @@ def _run_sweep(
 
     workers = max(1, min(int(parallel), n))
     with _one_blas_thread():
+        # rows differ at most in the gate and kappa, which the solver's
+        # sector structure leaves out: build it once, before the pool starts
+        first = share_sectors(make_system(0))
         if workers == 1:
             for i in range(n):
                 run_row(i)
@@ -380,9 +383,14 @@ class EsakiTsuFit:
         return self.a * k / (k**2 + self.c)
 
 
-# kappa^2 and c overflow to inf for kappa above about 1e154; the zero norm
-# of phi then reports it
-@np.errstate(over="ignore")
+# The fit's arithmetic leaves the float range at extreme scales: kappa^2 and
+# c overflow for kappa above about 1e154, and kappa^2 + c underflows to 0
+# below about 1e-162.  Each such value is caught where it arises and
+# reported as a ValueError that names it, so numpy's warnings are off.
+_FIT_ERRSTATE = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+@_FIT_ERRSTATE
 def _grid_scan(k: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     c_grid = np.logspace(
         2.0 * math.log10(k.min()) - 2.0, 2.0 * math.log10(k.max()) + 2.0, 241
@@ -393,13 +401,18 @@ def _grid_scan(k: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
         norm2 = float(phi @ phi)
         if norm2 == 0.0:
             raise ValueError("kappa values are too large to fit: kappa/(kappa^2 + c) underflows to 0")
+        if not math.isfinite(norm2):
+            raise ValueError("kappa values are too small to fit: kappa/(kappa^2 + c) overflows")
         a = float(j @ phi) / norm2
+        if not math.isfinite(a):
+            raise ValueError("currents are too large to fit: the amplitude a overflows")
         sse = float(np.sum((j - a * phi) ** 2))
         if best is None or sse < best[0]:
             best = (sse, a, c)
     return best
 
 
+@_FIT_ERRSTATE
 def fit_esaki_tsu(table: SweepTable) -> EsakiTsuFit:
     """Least-squares fit of j = a*kappa/(kappa^2 + c) to a decoherence sweep.
 
@@ -433,6 +446,10 @@ def fit_esaki_tsu(table: SweepTable) -> EsakiTsuFit:
         phi = k / (k**2 + c)
         r = a * phi - j
         jac = np.column_stack([phi, -a * k / (k**2 + c) ** 2])
+        if not np.isfinite(jac).all():
+            raise ValueError(
+                "kappa values are too small to fit: the slope a*kappa/(kappa^2 + c)^2 overflows"
+            )
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         scale = 1.0
         improved = False

@@ -139,6 +139,9 @@ class CompositeSystem:
     drive: np.ndarray
     gamma_by_index: np.ndarray
     lattice_mask: np.ndarray
+    # the master equation's sector structure (``master_eq._Sectors``), built
+    # on the first solve; dataclasses.replace starts the copy without it
+    _sectors: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:

@@ -27,6 +27,12 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   fig1/fig2 (N = 140) and two at 44 for fig3/fig4 (N = 126).  The
   dephasing reduction is folded by the same mirror: it builds the columns
   of one half of the lattice from the two blocks and their cross term.
+  The split depends on the hoppings, the leads and the coupling alone:
+  the gate and kappa enter A as z = i gate + kappa/2 on the lattice
+  diagonal, which both involutions map onto itself.  So the blocks are
+  found once per system and kept on it (a gate sweep shares them between
+  its rows, ``share_sectors``), and a solve pays for the eigendecomposition
+  of each block shifted by z, not for finding the blocks.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -355,6 +361,61 @@ def _re_row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x.view(float), y.view(float))
 
 
+class _Sectors:
+    """The symmetry blocks of A = iH + Delta, which leave out the gate and kappa.
+
+    Every lattice site has the on-site energy ``gate`` (the lattice's
+    gate_offset) and the dephasing rate kappa/2, so A = A_0 + z P with
+    z = i gate + kappa/2, P the projector on the lattice and
+    A_0 = i (H - gate P) + Gamma/2.  Both involutions map lattice sites to
+    lattice sites, so they commute with P, and Q_s^dag P Q_s is 0 or 1 on
+    each basis column.  So the split found on A_0 (``_drop_ring_odd``,
+    ``_mirror_split``) holds for every gate and kappa, and each block is
+    Q_s^dag A Q_s = B_s + z p_s with B_s = Q_s^dag A_0 Q_s.  A_0 differs
+    from A only by z on the lattice diagonal, where it is 0, so its
+    tolerance is no larger than that of any A.  ``blocks`` holds
+    (Q_s, Q_s^dag, B_s, the indices where p_s = 1).  The structure depends
+    on the hoppings, the leads and the coupling alone.
+    """
+
+    def __init__(self, sys: CompositeSystem):
+        imap = sys.index_map
+        half = 0.5 * sys.gamma_by_index
+        gate = np.diag(sys.lattice.gate_offset * sys.lattice_mask)
+        a = 1j * (sys.h_total - gate) + np.diag(half)
+        tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
+
+        q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
+        mirror, blocks = _mirror_split(imap, q, q.T @ a @ q, tol)
+        # q's first n_lattice columns are the lattice sites
+        self.lattice_mirror = mirror[: imap.n_lattice]
+        self.blocks = []
+        for q_s, b_s in blocks:
+            q_s = q_s.astype(complex)
+            on_lattice = np.flatnonzero(np.abs(q_s[imap.lattice]).max(axis=0) > 0)
+            self.blocks.append((q_s, np.ascontiguousarray(q_s.conj().T), b_s, on_lattice))
+        self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
+
+
+def _sectors(sys: CompositeSystem) -> _Sectors:
+    """sys's sector structure, built on first use and kept on sys."""
+    if sys._sectors is None:
+        sys._sectors = _Sectors(sys)
+    return sys._sectors
+
+
+def share_sectors(sys: CompositeSystem, source: CompositeSystem | None = None) -> CompositeSystem:
+    """sys, carrying the sector structure of source (sys itself by default); returns sys.
+
+    The structure is built once, on source, and leaves out the gate and
+    kappa, so sys may differ from source in those alone: a gate sweep
+    builds it on one row and shares it with the others.  Every solve still
+    checks its own residual against sys.
+    """
+    sys._sectors = _sectors(sys if source is None else source)
+    return sys
+
+
 class _SylvesterFactorization:
     """Eigendecomposition of A = iH + Delta, one symmetry block at a time.
 
@@ -365,9 +426,13 @@ class _SylvesterFactorization:
     ``rho_odd`` (``_drop_ring_odd``); the whole-system mirror, with the
     phases that a walk over the bonds of A finds (``_mirror_gauge``), then
     splits whatever basis is left (``_mirror_split``): two blocks of 51 for
-    fig1/fig2 (N = 140) and two of 44 for fig3/fig4 (N = 126).
-    ``block_sizes`` records them, + block first, and ``lattice_mirror`` is
-    the mirror of the lattice sites (the identity when A does not split).
+    fig1/fig2 (N = 140) and two of 44 for fig3/fig4 (N = 126).  The split
+    depends on the hoppings, the leads and the coupling alone: the gate and
+    kappa enter as z = i gate + kappa/2 on the lattice diagonal of each
+    block, so the structure (``_Sectors``) is built once per system, or
+    once per gate sweep, and kept.
+    ``block_sizes`` records the blocks, + block first, and ``lattice_mirror``
+    is the mirror of the lattice sites (the identity when A does not split).
     Each block with basis Q_s is eigendecomposed on its own,
     Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1.  ``lam`` concatenates the
     eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
@@ -376,26 +441,27 @@ class _SylvesterFactorization:
     D_ab = lam_a + conj(lam_b); the source need not respect either symmetry.
     Pairs with |D| below the guard correspond to conserved (dark) sectors;
     their components are projected out, which selects the minimal-norm
-    steady state.  ``dephasing_map`` is the lattice-diagonal part of
-    ``solve``, folded by the mirror.
+    steady state.  ``solve`` is ``back(rotate(source))``, and a source that
+    is nonzero on a few sites (the drive, on the rings) is rotated over
+    those alone; ``lattice_diagonal`` reads the lattice diagonal of a
+    solution from v's lattice rows, and ``dephasing_map`` is the
+    lattice-diagonal part of ``solve``, folded by the mirror.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
-        half = _half_rates(sys, kappa)
-        a = 1j * sys.h_total + np.diag(half)
-        tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
-
-        q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
-        mirror, blocks = _mirror_split(sys.index_map, q, q.T @ a @ q, tol)
-        # q's first n_lattice columns are the lattice sites
-        self.lattice_mirror = mirror[: sys.index_map.n_lattice]
+        sectors = _sectors(sys)
+        self.rho_odd = sectors.rho_odd
+        self.lattice_mirror = sectors.lattice_mirror
+        self.block_sizes = sectors.block_sizes
+        z = complex(0.5 * kappa, sys.lattice.gate_offset)
         lams, vs, vinvs = [], [], []
-        for q_s, a_s in blocks:
+        for q_s, qh_s, b_s, lat_s in sectors.blocks:
+            a_s = b_s.copy()
+            a_s[lat_s, lat_s] += z
             lam, v = np.linalg.eig(a_s)
             lams.append(lam)
             vs.append(q_s @ v)
-            vinvs.append(np.linalg.inv(v) @ q_s.conj().T)
-        self.block_sizes = tuple(lam.size for lam in lams)
+            vinvs.append(np.linalg.inv(v) @ qh_s)
         self.lam = lam = np.concatenate(lams)
         self.v = np.hstack(vs)
         self.vinv = np.vstack(vinvs)
@@ -407,9 +473,24 @@ class _SylvesterFactorization:
         inv[self.dark_pairs] = 0.0
         self.inv_denom = inv
 
-    def solve(self, source: np.ndarray) -> np.ndarray:
-        t = self.vinv @ source @ self.vinv.conj().T
+    def rotate(self, source: np.ndarray) -> np.ndarray:
+        """vinv S vinv^dag, over the rows and columns where the source S is nonzero."""
+        nonzero = source != 0
+        on = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        u = self.vinv[:, on]
+        return u @ source[np.ix_(on, on)] @ u.conj().T
+
+    def back(self, t: np.ndarray) -> np.ndarray:
+        """The solution v (t / D) v^dag for a rotated source t."""
         return self.v @ (t * self.inv_denom) @ self.v.conj().T
+
+    def solve(self, source: np.ndarray) -> np.ndarray:
+        return self.back(self.rotate(source))
+
+    def lattice_diagonal(self, t: np.ndarray, latt: np.ndarray) -> np.ndarray:
+        """Re diag(back(t)) over the lattice sites latt, from v's lattice rows alone."""
+        v = self.v[latt]
+        return _re_row_dot(v @ (t * self.inv_denom), v)
 
     def dephasing_map(self, latt: np.ndarray) -> np.ndarray:
         """Real M with M[i, j] = Re solve(|latt_j><latt_j|)[latt_i, latt_i].
@@ -458,22 +539,24 @@ def _solve_sylvester(
         )
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
 
-    rho = fact.solve(sys.drive)
+    t = fact.rotate(sys.drive)
     solves = 1
     if kappa > 0:
         # Self-consistency over the lattice diagonal d: the solve is affine,
         # d = d0 + kappa*M d, so one small linear system replaces a fixed
         # point iteration that stalls once kappa exceeds the escape rates.
+        # The source drive + kappa diag(d) is rotated as two terms, the
+        # drive's read for d0 on the lattice rows alone.
         latt = np.where(sys.lattice_mask)[0]
         nl = latt.size
         m = fact.dephasing_map(latt)
         solves += nl
-        d0 = np.real(rho[latt, latt])
+        d0 = fact.lattice_diagonal(t, latt)
         d = np.linalg.solve(np.eye(nl) - kappa * m, d0)
-        source = sys.drive.copy()
-        source[latt, latt] += kappa * d
-        rho = fact.solve(source)
+        u = fact.vinv[:, latt]
+        t = t + (u * (kappa * d)) @ u.conj().T
         solves += 1
+    rho = fact.back(t)
     rho = rho + fact.rho_odd
     rho = 0.5 * (rho + rho.conj().T)
     return rho, solves, _residual(sys, rho, kappa), notes

@@ -19,6 +19,7 @@ from edgesense.config import (
 )
 from edgesense.experiments import (
     CSV_HEADER_PREFIX,
+    SweepTable,
     _openblas_threads,
     read_sweep_csv,
     write_sweep_csv,
@@ -501,6 +502,38 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["error"] == "input"
         assert "underflows" in err["message"]
+        assert not (out / "esaki_tsu_fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "lo, hi, a, c",
+        [
+            # (kappa^2 + c)^2 underflows in the Gauss-Newton slope
+            (1.3e-131, 7.1e-128, 1e-3, 1e-258),
+            # kappa^2 + c underflows to 0 for every c of the scan
+            (1e-200, 1e-190, 1.0, 1e-200),
+        ],
+    )
+    def test_fit_of_tiny_kappas_is_an_input_error(self, tmp_path, capfd, lo, hi, a, c):
+        # capfd, not capsys: LAPACK's own messages bypass sys.stdout and sys.stderr
+        k = np.logspace(math.log10(lo), math.log10(hi), 12)
+        j = a * k / (k**2 + c)
+        n = k.size
+        table = SweepTable(
+            "kappa", k, j, np.zeros(n),
+            {"imbalance": np.zeros(n), "gradient": np.zeros(n), "converged": np.ones(n)},
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        write_sweep_csv(table, out / "tiny.csv")
+        capfd.readouterr()
+        assert main(["fit", str(out / "tiny.csv"), "--out", str(out)]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert err["message"].startswith("kappa values are too small to fit")
         assert not (out / "esaki_tsu_fit.json").exists()
 
     def test_sweep_axis_mismatch(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from edgesense import master_eq
 from edgesense.config import parse_config
+from edgesense.experiments import sweep_decoherence, sweep_gate, write_sweep_csv
 from edgesense.lattice import build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite
 from edgesense.master_eq import (
@@ -571,12 +572,16 @@ class TestMirrorSector:
         ],
     )
     def test_split_matches_one_block(self, monkeypatch, fig, kappa, gate):
-        # the same formula with eig of the whole coupled block
-        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system(gate=gate)
+        # the same formula with eig of the whole coupled block; a system keeps
+        # the sector structure of its first solve, so the one-block solve
+        # takes a freshly built system
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        sys = cfg.build_system(gate=gate)
         blocks = SHIPPED_BLOCKS[fig]
         assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
         split = current_profile(solve_quietly(sys, kappa)[0], sys)
         monkeypatch.setattr(master_eq, "_mirror_split", one_block)
+        sys = cfg.build_system(gate=gate)
         assert _SylvesterFactorization(sys, kappa).block_sizes == (sum(blocks),)
         whole = current_profile(solve_quietly(sys, kappa)[0], sys)
         assert abs(split.mean - whole.mean) <= 1e-9 * abs(whole.mean)
@@ -590,12 +595,15 @@ class TestMirrorSector:
         # and the split 7e-10 and 1e-10: each is held against the refined
         # current instead of against the other.
         kappa = 100.0
-        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system()
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        sys = cfg.build_system()
         rho = solve_quietly(sys, kappa)[0]
         split = current_profile(rho, sys)
         exact = current_profile(SPDM(refined(sys, kappa, rho.matrix)), sys).mean
         monkeypatch.setattr(master_eq, "_mirror_split", one_block)
-        whole = current_profile(solve_quietly(sys, kappa)[0], sys).mean
+        whole_sys = cfg.build_system()
+        assert _SylvesterFactorization(whole_sys, kappa).block_sizes == (88,)
+        whole = current_profile(solve_quietly(whole_sys, kappa)[0], whole_sys).mean
         assert abs(split.mean - exact) <= abs(whole - exact)
         assert split.max_deviation <= 1e-6 * abs(split.mean)
 
@@ -621,3 +629,102 @@ class TestMirrorSector:
             direct[:, j] = np.real(np.diag(fact.solve(source))[latt])
         folded = fact.dephasing_map(latt)
         assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "rhombic-unequal-flux"])
+    def test_lattice_diagonal_from_the_ring_columns(self, name):
+        # d0 read from the drive's ring columns and v's lattice rows, against
+        # the full N x N solve
+        if name.startswith("fig"):
+            sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
+        else:
+            sys = mirror_test_system(name)
+        fact = _SylvesterFactorization(sys, 0.01)
+        latt = np.flatnonzero(sys.lattice_mask)
+        t = fact.vinv @ sys.drive @ fact.vinv.conj().T
+        full = fact.v @ (t * fact.inv_denom) @ fact.v.conj().T
+        expected = np.real(np.diag(full))[latt]
+        d0 = fact.lattice_diagonal(fact.rotate(sys.drive), latt)
+        assert np.abs(d0 - expected).max() <= 1e-14
+
+
+class TestSharedSectors:
+    def test_one_structure_per_sweep(self, monkeypatch, tmp_path):
+        calls = []
+        split = master_eq._mirror_split
+
+        def counted(*args):
+            calls.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(master_eq, "_mirror_split", counted)
+        fig4 = parse_config((CONFIGS / "fig4.json").read_text())
+        sweep_decoherence(fig4, np.logspace(-3, 1, 5))
+        assert len(calls) == 1
+        fig1 = parse_config((CONFIGS / "fig1.json").read_text())
+        gates = np.linspace(-0.3, 0.3, 7)
+        for parallel in (1, 3):
+            calls.clear()
+            table = sweep_gate(fig1, gates, parallel=parallel)
+            assert len(calls) == 1
+            assert table.extra_columns["converged"].all()
+            write_sweep_csv(table, tmp_path / f"parallel{parallel}.csv")
+        assert (tmp_path / "parallel1.csv").read_bytes() == (tmp_path / "parallel3.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "fig, kappa, axis",
+        [
+            ("fig1", None, (-0.3, 0.0, 0.37)),
+            ("fig1", 0.002, (-0.3, 0.0, 0.37)),
+            ("fig4", None, (1e-3, 1.0, 10.0)),
+        ],
+    )
+    def test_shared_rows_match_fresh_systems(self, fig, kappa, axis):
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        if fig == "fig1":
+            table = sweep_gate(cfg, axis, kappa, parallel=2)
+            kappa = cfg.decoherence if kappa is None else kappa
+            rows = [(cfg.build_system(gate=gate), kappa) for gate in axis]
+        else:
+            table = sweep_decoherence(cfg, axis, parallel=2)
+            rows = [(cfg.build_system(), k) for k in axis]
+        for (sys, k), shared in zip(rows, table.current):
+            rho, _ = solve_steady_state(sys, k)
+            fresh = current_profile(rho, sys).mean
+            assert abs(shared - fresh) <= 1e-10 * abs(fresh)
+
+    @pytest.mark.parametrize("name", ["unequal-gammas", "custom-onsite"])
+    def test_replace_rederives_the_structure(self, name):
+        # a mirror-symmetric system is solved, which builds its two blocks,
+        # then a replace breaks the mirror as MIRROR_CASES[name] does: the
+        # copy must not inherit the split
+        leads = RingLead(size=4, mu=0.3, beta=5.0), RingLead(size=4, mu=-0.02, beta=5.0)
+        if name == "unequal-gammas":
+            lattice = build_ssh(4, 0.5, 1.0)
+        else:
+            lattice = build_custom(-0.5 * (np.eye(4, k=1) + np.eye(4, k=-1)))
+        sys = assemble_composite(lattice, *leads, 0.2)
+        solve_quietly(sys, 0.01)
+        assert _SylvesterFactorization(sys, 0.01).block_sizes == (5, 5)
+        if name == "unequal-gammas":
+            gamma = sys.gamma_by_index.copy()
+            gamma[sys.index_map.right] = 0.08
+            sys = dataclasses.replace(
+                sys,
+                right=dataclasses.replace(sys.right, gamma=0.08),
+                gamma_by_index=gamma,
+                drive=gamma[:, None] * sys.target,
+            )
+        else:
+            h = sys.h_total.copy()
+            h[1, 1] += 0.1
+            sys = dataclasses.replace(sys, h_total=h)
+        broken = mirror_test_system(name)
+        for field in ("h_total", "gamma_by_index", "drive"):
+            assert_allclose(getattr(sys, field), getattr(broken, field), rtol=0, atol=1e-15)
+        blocks, kappas = MIRROR_CASES[name]
+        assert blocks == (10,)
+        for kappa in kappas:
+            assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
+            rho, _ = solve_quietly(sys, kappa)
+            full, _ = solve_quietly(sys, kappa, FULL)
+            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
