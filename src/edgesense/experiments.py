@@ -172,6 +172,10 @@ def _one_blas_thread():
                 put(_pin_saved)
 
 
+# Sites at each chain end whose populations make up a sweep's edge imbalance.
+_EDGE_SITES = 2
+
+
 def _run_sweep(
     cfg: RunConfig,
     axis_name: str,
@@ -179,7 +183,6 @@ def _run_sweep(
     make_system: Callable[[int], object],
     kappa_of: Callable[[int], float],
     parallel: int,
-    edge_sites: int,
 ) -> SweepTable:
     axis = np.asarray(values, dtype=float)
     n = axis.size
@@ -203,7 +206,7 @@ def _run_sweep(
         current[i] = current_profile(rho, system).mean
         residual[i] = diag.residual
         pops = site_populations(rho, system)
-        imbalance[i] = edge_imbalance(pops, edge_sites)
+        imbalance[i] = edge_imbalance(pops, _EDGE_SITES)
         gradient[i] = population_gradient(pops)
         converged[i] = 1.0
 
@@ -235,7 +238,6 @@ def sweep_gate(
     kappa: float | None = None,
     *,
     parallel: int = 1,
-    edge_sites: int = 2,
 ) -> SweepTable:
     """Steady current versus gate offset at fixed decoherence rate."""
     kap = cfg.decoherence if kappa is None else float(kappa)
@@ -247,7 +249,6 @@ def sweep_gate(
         make_system=lambda i: cfg.build_system(gate=float(gates[i])),
         kappa_of=lambda i: kap,
         parallel=parallel,
-        edge_sites=edge_sites,
     )
 
 
@@ -257,7 +258,6 @@ def sweep_decoherence(
     delta: float | None = None,
     *,
     parallel: int = 1,
-    edge_sites: int = 2,
 ) -> SweepTable:
     """Steady current versus decoherence rate at fixed gate offset."""
     system = cfg.build_system(gate=delta)
@@ -269,7 +269,6 @@ def sweep_decoherence(
         make_system=lambda i: system,
         kappa_of=lambda i: float(kap[i]),
         parallel=parallel,
-        edge_sites=edge_sites,
     )
 
 
@@ -383,90 +382,88 @@ class EsakiTsuFit:
         return self.a * k / (k**2 + self.c)
 
 
-# The fit's arithmetic leaves the float range at extreme scales: kappa^2 and
-# c overflow for kappa above about 1e154, and kappa^2 + c underflows to 0
-# below about 1e-162.  Each such value is caught where it arises and
-# reported as a ValueError that names it, so numpy's warnings are off.
-_FIT_ERRSTATE = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# 241 log-spaced c, sqrt(c) from a tenth of the smallest to ten times the largest kappa
+_SCAN_POINTS = 241
+# Scaled kappa keeps its binary exponent within +-480 (about 144 decades), so
+# the scan's kappa^2 + c and sums of squares stay finite.
+_KAPPA_EXPONENT_MAX = 480
 
 
-@_FIT_ERRSTATE
-def _grid_scan(k: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
-    c_grid = np.logspace(
-        2.0 * math.log10(k.min()) - 2.0, 2.0 * math.log10(k.max()) + 2.0, 241
-    )
-    best: tuple[float, float, float] | None = None
-    for c in c_grid:
-        phi = k / (k**2 + c)
-        norm2 = float(phi @ phi)
-        if norm2 == 0.0:
-            raise ValueError("kappa values are too large to fit: kappa/(kappa^2 + c) underflows to 0")
-        if not math.isfinite(norm2):
-            raise ValueError("kappa values are too small to fit: kappa/(kappa^2 + c) overflows")
-        a = float(j @ phi) / norm2
-        if not math.isfinite(a):
-            raise ValueError("currents are too large to fit: the amplitude a overflows")
-        sse = float(np.sum((j - a * phi) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, a, c)
-    return best
-
-
-@_FIT_ERRSTATE
 def fit_esaki_tsu(table: SweepTable) -> EsakiTsuFit:
     """Least-squares fit of j = a*kappa/(kappa^2 + c) to a decoherence sweep.
 
-    A coarse scan over log-spaced c (with the optimal a computed in closed
-    form per candidate) seeds a damped Gauss-Newton refinement.  Requires
-    at least 6 converged points spanning two decades, all of one sign;
-    negative sweeps are flipped so a stays positive.
+    Requires at least 6 converged points spanning two decades, all of one
+    sign; negative sweeps are flipped so a stays positive.  After an exact
+    power-of-two scaling of kappa and j, the best a for each c is linear,
+    a(c) = (j.phi)/(phi.phi) with phi = kappa/(kappa^2 + c), so a scan in
+    log c and a bisection on the sign of dSSE/dc find the minimum.  Raises
+    ValueError where kappa spans too many decades to scale, where the best
+    c is an end of the scan (the peak lies more than a decade outside the
+    sampled kappa), and where a or c leaves the float range once unscaled.
     """
     ok = np.isfinite(table.current)
     k = np.asarray(table.axis_values, dtype=float)[ok]
     j = np.asarray(table.current, dtype=float)[ok]
     if k.size < 6:
         raise ValueError("need at least 6 converged points")
-    if k.min() <= 0:
-        raise ValueError("kappa values must be positive")
-    if k.max() / k.min() < 100.0:
+    if not (np.isfinite(k).all() and k.min() > 0):
+        raise ValueError("kappa values must be positive and finite")
+    if k.max() < 100.0 * k.min():
         raise ValueError("kappa values must span at least two decades")
     if np.all(j < 0):
         j = -j
     if np.any(j <= 0):
         raise ValueError("currents must be nonzero and of one sign")
 
-    norm = float(np.linalg.norm(j))
-    if norm == 0.0:
-        raise ValueError("currents are too small to fit: the norm of the currents underflows to 0")
-    sse, a, c = _grid_scan(k, j)
-    # checked like a fit: Gauss-Newton keeps a > 0 and c > 0 only from such a seed
-    EsakiTsuFit(a=a, c=c, relative_residual=math.sqrt(sse) / norm)
+    # kappa = 2^e_k kappa' and j = 2^e_j j', so a = 2^(e_j + e_k) a' and c = 2^(2 e_k) c'
+    exponents = np.frexp(k)[1]
+    e_k = int(np.round(exponents.mean()))
+    if np.abs(exponents - e_k).max() > _KAPPA_EXPONENT_MAX:
+        raise ValueError("kappa spans too many decades to fit: kappa^2 overflows after scaling")
+    e_j = int(np.frexp(j.max())[1])
+    k = np.ldexp(k, -e_k)
+    j = np.ldexp(j, -e_j)
+    k2 = k * k
 
-    for _ in range(60):
-        phi = k / (k**2 + c)
-        r = a * phi - j
-        jac = np.column_stack([phi, -a * k / (k**2 + c) ** 2])
-        if not np.isfinite(jac).all():
-            raise ValueError(
-                "kappa values are too small to fit: the slope a*kappa/(kappa^2 + c)^2 overflows"
-            )
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        scale = 1.0
-        improved = False
-        for _ in range(25):
-            a_try = a + scale * step[0]
-            c_try = c + scale * step[1]
-            if a_try > 0 and c_try > 0:
-                sse_try = float(np.sum((a_try * k / (k**2 + c_try) - j) ** 2))
-                if sse_try <= sse:
-                    improved = sse - sse_try > 1e-15 * max(sse, 1e-300)
-                    a, c, sse = a_try, c_try, sse_try
-                    break
-            scale *= 0.5
-        if not improved:
-            break
+    def project(c):
+        """phi, the best a and the residual j - a*phi for each row of c."""
+        phi = k / (k2 + c)
+        a = np.sum(j * phi, axis=-1, keepdims=True) / np.sum(phi * phi, axis=-1, keepdims=True)
+        return phi, a, j - a * phi
 
-    return EsakiTsuFit(a=a, c=c, relative_residual=math.sqrt(sse) / norm)
+    log_c = np.linspace(
+        2.0 * math.log(k.min() / 10.0), 2.0 * math.log(10.0 * k.max()), _SCAN_POINTS
+    )
+    _, _, resid = project(np.exp(log_c)[:, None])
+    best = int(np.argmin(np.sum(resid * resid, axis=-1)))
+    if best in (0, _SCAN_POINTS - 1):
+        raise ValueError(
+            "the fitted peak lies more than a decade outside the sampled kappa: "
+            "the sweep does not resolve it"
+        )
+    lo, hi = log_c[best - 1], log_c[best + 1]
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        c = math.exp(mid)
+        phi, _, resid = project(c)
+        # at the best a > 0, dSSE/dc = 2a sum(resid * phi^2/kappa), and c phi^2/kappa
+        # = phi c/(kappa^2 + c) stays finite
+        if resid @ (phi * (c / (k2 + c))) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    c = math.exp(mid)
+    _, a, resid = project(c)
+    a = float(a[0])
+    relative_residual = math.sqrt(float(resid @ resid)) / float(np.linalg.norm(j))
+
+    # math.frexp's exponent lies in [-1021, 1024] exactly for normal floats
+    if not all(-1021 <= math.frexp(x)[1] + e <= 1024 for x, e in ((a, e_j + e_k), (c, 2 * e_k))):
+        raise ValueError("the fitted a or c lies outside the float range once unscaled")
+    return EsakiTsuFit(
+        a=math.ldexp(a, e_j + e_k), c=math.ldexp(c, 2 * e_k), relative_residual=relative_residual
+    )
 
 
 def write_artifact_csv(

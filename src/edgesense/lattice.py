@@ -254,6 +254,11 @@ def spectrum(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return energies, states
 
 
+# In-gap levels closer than this form one cluster, rotated into position
+# eigenstates before their end weights are measured.
+_DEGENERACY_TOL = 1e-7
+
+
 def _localize_degenerate(states: np.ndarray, members: list[int]) -> None:
     # Degenerate in-gap pairs come out of eigh as arbitrary mixtures; rotate
     # each cluster into position eigenstates so left/right is well defined.
@@ -301,7 +306,6 @@ def classify_edge_states(
     threshold: float = 0.5,
     *,
     end_sites: int = 4,
-    degeneracy_tol: float = 1e-7,
 ) -> list[EdgeStateReport]:
     """Report in-gap states whose weight concentrates on the chain ends.
 
@@ -322,7 +326,7 @@ def classify_edge_states(
     # rotate near-degenerate clusters before measuring localization
     cluster: list[int] = []
     for i in inside + [None]:
-        if cluster and (i is None or energies[i] - energies[cluster[-1]] > degeneracy_tol):
+        if cluster and (i is None or energies[i] - energies[cluster[-1]] > _DEGENERACY_TOL):
             if len(cluster) > 1:
                 _localize_degenerate(work, cluster)
             cluster = []

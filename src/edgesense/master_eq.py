@@ -27,12 +27,10 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   fig1/fig2 (N = 140) and two at 44 for fig3/fig4 (N = 126).  The
   dephasing reduction is folded by the same mirror: it builds the columns
   of one half of the lattice from the two blocks and their cross term.
-  The split depends on the hoppings, the leads and the coupling alone:
-  the gate and kappa enter A as z = i gate + kappa/2 on the lattice
-  diagonal, which both involutions map onto itself.  So the blocks are
-  found once per system and kept on it (a gate sweep shares them between
-  its rows, ``share_sectors``), and a solve pays for the eigendecomposition
-  of each block shifted by z, not for finding the blocks.
+  The blocks do not depend on the gate or kappa (``_Sectors``), so they
+  are found once per system and kept on it (a gate sweep shares them
+  between its rows, ``share_sectors``), and a solve pays for the
+  eigendecomposition of each block, not for finding the blocks.
 * ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
   gated to small N; serves as an independent oracle.
 
@@ -290,18 +288,17 @@ def _drop_ring_odd(
 def _mirror_gauge(s: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray | None:
     """Phases d with d_i a[s_i, s_j] conj(d_j) = a[i, j] to tol and d_i d[s_i] = 1, or None.
 
-    Then S x = d * x[s] is a unitary involution that commutes with a.  Where
-    s commutes with a itself, d = 1.  Otherwise one depth-first walk over the
-    bonds of a (its entries above tol) fixes d on a spanning tree of each
-    connected part: a bond i -> j sets d_j = d_i * phase(conj(a[i, j]) a[s_i, s_j]).
+    Then S x = d * x[s] is a unitary involution that commutes with a.  One
+    depth-first walk over the bonds of a (its entries above tol) fixes d on
+    a spanning tree of each connected part: a bond i -> j sets
+    d_j = d_i * phase(conj(a[i, j]) a[s_i, s_j]), so d = 1 where s commutes
+    with a itself.
     A part's first site takes d = 1, or conj(d) of its image if that is set
     already; a part mapped onto itself is then rotated by one common phase
     so that d_i d[s_i] = 1.  The commutation check over every entry of a,
     with the phases, decides.
     """
     n = s.size
-    if _commutes(s, a, tol):
-        return np.ones(n)
     rows, cols = np.nonzero(np.abs(a) > tol)
     w = a[rows, cols].conj() * a[s[rows], s[cols]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,8 +371,9 @@ class _Sectors:
     Q_s^dag A Q_s = B_s + z p_s with B_s = Q_s^dag A_0 Q_s.  A_0 differs
     from A only by z on the lattice diagonal, where it is 0, so its
     tolerance is no larger than that of any A.  ``blocks`` holds
-    (Q_s, Q_s^dag, B_s, the indices where p_s = 1).  The structure depends
-    on the hoppings, the leads and the coupling alone.
+    (Q_s, Q_s^dag, B_s, the indices where p_s = 1), + block first,
+    ``block_sizes`` their sizes and ``lattice_mirror`` the mirror of the
+    lattice sites (the identity when A does not split).
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -417,24 +415,11 @@ def share_sectors(sys: CompositeSystem, source: CompositeSystem | None = None) -
 
 
 class _SylvesterFactorization:
-    """Eigendecomposition of A = iH + Delta, one symmetry block at a time.
+    """Eigendecomposition of A = iH + Delta, one block of ``_Sectors`` at a time.
 
-    One rule splits A: a unitary involution S that permutes the sites up to a
-    phase per site and commutes with A (to SECTOR_TOL) makes it block
-    diagonal in S's pair basis (``_pair_basis``).  The ring reflection, a
-    plain permutation (``_commutes``), drops its odd block, kept as
-    ``rho_odd`` (``_drop_ring_odd``); the whole-system mirror, with the
-    phases that a walk over the bonds of A finds (``_mirror_gauge``), then
-    splits whatever basis is left (``_mirror_split``): two blocks of 51 for
-    fig1/fig2 (N = 140) and two of 44 for fig3/fig4 (N = 126).  The split
-    depends on the hoppings, the leads and the coupling alone: the gate and
-    kappa enter as z = i gate + kappa/2 on the lattice diagonal of each
-    block, so the structure (``_Sectors``) is built once per system, or
-    once per gate sweep, and kept.
-    ``block_sizes`` records the blocks, + block first, and ``lattice_mirror``
-    is the mirror of the lattice sites (the identity when A does not split).
-    Each block with basis Q_s is eigendecomposed on its own,
-    Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1.  ``lam`` concatenates the
+    Each block, B_s + z p_s in the basis Q_s, is eigendecomposed on its own,
+    Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1; ``rho_odd``, ``block_sizes`` and
+    ``lattice_mirror`` are those of ``_Sectors``.  ``lam`` concatenates the
     eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
     act in the site basis, so ``solve(source)`` returns the kept blocks'
     solution of A X + X A^dag = S as v ((vinv S vinv^dag) / D) v^dag with
@@ -445,7 +430,7 @@ class _SylvesterFactorization:
     is nonzero on a few sites (the drive, on the rings) is rotated over
     those alone; ``lattice_diagonal`` reads the lattice diagonal of a
     solution from v's lattice rows, and ``dephasing_map`` is the
-    lattice-diagonal part of ``solve``, folded by the mirror.
+    lattice-diagonal part of ``solve``.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):

@@ -21,6 +21,7 @@ from edgesense.experiments import (
     CSV_HEADER_PREFIX,
     SweepTable,
     _openblas_threads,
+    fit_esaki_tsu,
     read_sweep_csv,
     write_sweep_csv,
 )
@@ -488,33 +489,63 @@ class TestCli:
         assert err["error"] == "input"
         assert "at least 6" in err["message"]
 
-    def test_fit_underflow_is_an_input_error(self, tmp_path, capsys):
-        # fig4's sweep with its currents scaled by 1e-160: their norm underflows
+    def test_fit_of_tiny_currents(self, tmp_path, capsys):
+        # fig4's sweep with its currents scaled by 1e-160 fits as the unscaled one
         out = tmp_path / "o"
         cfg = str(CONFIGS / "fig4.json")
         assert main(["sweep-kappa", "--config", cfg, "--out", str(out)]) == 0
         table = read_sweep_csv(out / "sweep_kappa.csv")
         write_sweep_csv(dataclasses.replace(table, current=1e-160 * table.current), out / "tiny.csv")
-        capsys.readouterr()
-        assert main(["fit", str(out / "tiny.csv"), "--out", str(out)]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "input"
-        assert "underflows" in err["message"]
-        assert not (out / "esaki_tsu_fit.json").exists()
+        tiny = read_sweep_csv(out / "tiny.csv")
+        unit = fit_esaki_tsu(dataclasses.replace(tiny, current=1e160 * tiny.current))
+        assert main(["fit", str(out / "tiny.csv"), "--out", str(out)]) == 0
+        fit = json.loads((out / "esaki_tsu_fit.json").read_text())
+        assert_allclose(fit["a"], 1e-160 * unit.a, rtol=1e-12)
+        assert_allclose(fit["c"], unit.c, rtol=1e-12)
+        assert_allclose(fit["relative_residual"], unit.relative_residual, rtol=1e-12)
+
+    def test_fit_of_huge_currents(self, tmp_path, capsys):
+        # sums of squares of currents near 1e200 overflow unless scaled first
+        k = np.logspace(-3, 1, 20)
+        table = SweepTable(
+            "kappa", k, 1e200 * k / (k**2 + 1e-2), np.zeros(20),
+            {"imbalance": np.zeros(20), "gradient": np.zeros(20), "converged": np.ones(20)},
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        write_sweep_csv(table, out / "huge.csv")
+        assert main(["fit", str(out / "huge.csv"), "--out", str(out)]) == 0
+        fit = json.loads((out / "esaki_tsu_fit.json").read_text())
+        assert_allclose([fit["a"], fit["c"]], [1e200, 1e-2], rtol=1e-9)
+        assert math.isfinite(fit["relative_residual"]) and fit["relative_residual"] < 1e-9
+
+    def test_fit_of_tiny_kappas(self, tmp_path, capfd):
+        # kappa^2 + c of about 1e-258 stays in range once kappa is scaled
+        k = np.logspace(math.log10(1.3e-131), math.log10(7.1e-128), 12)
+        table = SweepTable(
+            "kappa", k, 1e-3 * k / (k**2 + 1e-258), np.zeros(12),
+            {"imbalance": np.zeros(12), "gradient": np.zeros(12), "converged": np.ones(12)},
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        write_sweep_csv(table, out / "tiny.csv")
+        capfd.readouterr()
+        assert main(["fit", str(out / "tiny.csv"), "--out", str(out)]) == 0
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("fit: a=")
+        fit = json.loads((out / "esaki_tsu_fit.json").read_text())
+        assert_allclose([fit["a"], fit["c"]], [1e-3, 1e-258], rtol=1e-9)
 
     @pytest.mark.parametrize(
         "lo, hi, a, c",
         [
-            # (kappa^2 + c)^2 underflows in the Gauss-Newton slope
-            (1.3e-131, 7.1e-128, 1e-3, 1e-258),
-            # kappa^2 + c underflows to 0 for every c of the scan
+            # the peak at sqrt(c) = 1e-100 lies 90 decades above the sweep
             (1e-200, 1e-190, 1.0, 1e-200),
         ],
     )
     def test_fit_of_tiny_kappas_is_an_input_error(self, tmp_path, capfd, lo, hi, a, c):
-        # capfd, not capsys: LAPACK's own messages bypass sys.stdout and sys.stderr
+        # capfd, not capsys: it also sees what is written to the file descriptors directly
         k = np.logspace(math.log10(lo), math.log10(hi), 12)
         j = a * k / (k**2 + c)
         n = k.size
@@ -533,7 +564,7 @@ class TestCli:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "input"
-        assert err["message"].startswith("kappa values are too small to fit")
+        assert err["message"].startswith("the fitted peak lies more than a decade outside")
         assert not (out / "esaki_tsu_fit.json").exists()
 
     def test_sweep_axis_mismatch(self, tmp_path, capsys):

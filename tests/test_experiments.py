@@ -161,13 +161,60 @@ class TestEsakiTsuFit:
         assert fit.a > 0 and fit.c > 0
         assert_allclose(fit.c, 0.25, rtol=1e-6)
 
-    def test_underflow_is_a_value_error(self):
+    def test_extreme_scales(self):
+        # power-of-two scaling is exact: currents of 1e-170 fit as well as those of 1
         k = np.logspace(-3, 1, 20)
-        with pytest.raises(ValueError, match="currents are too small"):
-            fit_esaki_tsu(SweepTable("kappa", k, 1e-170 * k / (k**2 + 0.25), np.zeros(20)))
+        j = k / (k**2 + 0.25)
+        unit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(20)))
+        tiny = fit_esaki_tsu(SweepTable("kappa", k, 1e-170 * j, np.zeros(20)))
+        assert_allclose(tiny.a, 1e-170 * unit.a, rtol=1e-12)
+        assert_allclose(tiny.c, unit.c, rtol=1e-12)
+        assert_allclose(tiny.relative_residual, unit.relative_residual, rtol=1e-12, atol=1e-15)
+        assert_allclose([tiny.a, tiny.c], [1e-170, 0.25], rtol=1e-9)
+
+    def test_refusals(self):
+        wide = np.logspace(-300, 300, 12)
+        with pytest.raises(ValueError, match="spans too many decades"):
+            fit_esaki_tsu(SweepTable("kappa", wide, np.ones(12), np.zeros(12)))
+        # j = kappa rises over the whole sweep: the peak lies far above it
+        k = np.logspace(-3, 1, 20)
+        with pytest.raises(ValueError, match="more than a decade outside"):
+            fit_esaki_tsu(SweepTable("kappa", k, k, np.zeros(20)))
+        # the best c is near (1e161.5)^2, above the largest float
         huge = np.logspace(160, 163, 20)
-        with pytest.raises(ValueError, match="kappa values are too large"):
+        with pytest.raises(ValueError, match="outside the float range once unscaled"):
             fit_esaki_tsu(SweepTable("kappa", huge, np.ones(20), np.zeros(20)))
+
+    def test_exact_data_recovered_at_any_scale(self):
+        # seeded sample: kappa and j scales from 1e-150 to 1e150, peak inside the sweep
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            lo = rng.uniform(-150, 144)
+            k = np.logspace(lo, lo + rng.uniform(2, 6), int(rng.integers(6, 31)))
+            peak = k.min() * (k.max() / k.min()) ** rng.uniform(0.1, 0.9)
+            jmax = 10.0 ** rng.uniform(-150, 150)
+            j = jmax * (2 * peak * k / (k**2 + peak**2))
+            fit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(k.size)))
+            assert_allclose([fit.a, fit.c], [2 * peak * jmax, peak**2], rtol=1e-9)
+
+    def test_noisy_fit_no_worse_than_a_dense_scan(self):
+        # brute-force reference: 20001 log-spaced c over the fit's scan range,
+        # each with its closed-form best a
+        rng = np.random.default_rng(7)
+        for i in range(40):
+            lo = rng.uniform(-4, 0)
+            k = np.logspace(lo, lo + rng.uniform(2, 5), int(rng.integers(6, 31)))
+            peak = k.min() * (k.max() / k.min()) ** rng.uniform(0.1, 0.9)
+            noise = (1e-3, 0.05)[i % 2]
+            j = k / (k**2 + peak**2) * (1 + noise * rng.standard_normal(k.size))
+            fit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(k.size)))
+            c = np.logspace(
+                2 * math.log10(k.min() / 10), 2 * math.log10(10 * k.max()), 20001
+            )[:, None]
+            phi = k / (k**2 + c)
+            a = (phi @ j) / np.sum(phi * phi, axis=1)
+            sse = np.min(np.sum((j - a[:, None] * phi) ** 2, axis=1))
+            assert fit.relative_residual <= math.sqrt(sse) / np.linalg.norm(j) * (1 + 1e-12)
 
     def test_validation(self):
         k5 = np.logspace(-2, 1, 5)
@@ -179,6 +226,8 @@ class TestEsakiTsuFit:
         k = np.logspace(-3, 1, 10)
         with pytest.raises(ValueError, match="positive"):
             fit_esaki_tsu(SweepTable("kappa", k - k[4], np.ones(10), np.zeros(10)))
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_esaki_tsu(SweepTable("kappa", np.append(k[:-1], np.inf), np.ones(10), np.zeros(10)))
         mixed = np.ones(10)
         mixed[3] = -1.0
         with pytest.raises(ValueError, match="one sign"):
