@@ -9,6 +9,7 @@ converge, 3 I/O failure.  Errors go to stderr as one JSON line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -141,6 +142,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             "residual": diag.residual,
             "wall_time": wall,
             "warnings": diag.warnings,
+            "eig_blocks": list(diag.eig_blocks),
         },
     }
     (out / "steady_state.json").write_text(json.dumps(payload, sort_keys=True))
@@ -244,7 +246,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Each command's handler is a function of this module, which looks up the
+    library calls it makes (``solve_steady_state``, ...) when it runs.
+    """
     parser = _Parser(
         prog="edgesense",
         description="Steady-state transport through finite lattices with edge states",

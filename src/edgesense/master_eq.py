@@ -27,6 +27,13 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   fig1/fig2 (N = 140) and two at 44 for fig3/fig4 (N = 126).  The
   dephasing reduction is folded by the same mirror: it builds the columns
   of one half of the lattice from the two blocks and their cross term.
+  At gate 0 the chiral fold halves the floor where it holds: on a
+  bipartite lattice with real hoppings (up to a gauge) and no on-site
+  term, the sublattice sign c makes x -> c * conj(x) a symmetry of A, and
+  where it maps the mirror's + block onto its - block the - block is the
+  conjugate of the + block (``_chiral_fold``).  Then one ``zgeev`` at 51
+  serves fig1/fig2 at delta = 0; fig3 (flux off pi) and fig4 (delta off 0)
+  keep two at 44.
   The blocks do not depend on the gate or kappa (``_Sectors``), so they
   are found once per system and kept on it (a gate sweep shares them
   between its rows, ``share_sectors``), and a solve pays for the
@@ -97,6 +104,8 @@ class SolveDiagnostics:
     wall_time: float
     converged: bool
     warnings: list[str] = field(default_factory=list)
+    # sizes of the eigendecompositions the solve ran, in order
+    eig_blocks: tuple[int, ...] = ()
 
 
 class SolverError(RuntimeError):
@@ -123,6 +132,31 @@ def _residual_scale(sys: CompositeSystem) -> float:
     return max(1.0, float(np.abs(sys.target).max()))
 
 
+def _bond_table(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h_total's neighbour table (idx, fwd, bwd), built on first use and kept on sys.
+
+    Row i of idx lists the j with h[i, j] != 0 or h[j, i] != 0, padded with
+    column 0; fwd[i, k] = h[i, idx[i, k]] and bwd[i, k] = h[idx[i, k], i],
+    both 0 on the padding.  So (h m)[i] = sum_k fwd[i, k] m[idx[i, k]] and
+    (m h)[:, i] = sum_k m[:, idx[i, k]] bwd[i, k] for any m.
+    """
+    if sys._bonds is None:
+        h = sys.h_total
+        n = h.shape[0]
+        nz = h != 0
+        rows, cols = np.divmod(np.flatnonzero(nz | nz.T), n)
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
+        fwd = np.zeros(idx.shape, dtype=h.dtype)
+        bwd = np.zeros(idx.shape, dtype=h.dtype)
+        idx[rows, slot] = cols
+        fwd[rows, slot] = h[rows, cols]
+        bwd[rows, slot] = h[cols, rows]
+        sys._bonds = idx, fwd, bwd
+    return sys._bonds
+
+
 def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float) -> np.ndarray:
     """Right-hand side of the closed single-particle master equation.
 
@@ -130,12 +164,18 @@ def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float
     gamma/2 per index plus the thermal drive; cross-lead coherences decay
     with no source.  Dephasing: inter-site coherences decay at kappa
     (kappa/2 per lattice index) while the lattice diagonal is untouched.
+    The commutator with H runs over the bonds of H (``_bond_table``): a
+    chain plus two rings has a few per site.
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     m = _as_matrix(rho)
-    h = sys.h_total
-    out = -1j * (h @ m - m @ h)
+    idx, fwd, bwd = _bond_table(sys)
+    comm = np.zeros(m.shape, dtype=complex)
+    for k in range(idx.shape[1]):
+        comm += fwd[:, k, None] * m[idx[:, k]]
+        comm -= m[:, idx[:, k]] * bwd[:, k]
+    out = -1j * comm
     half = _half_rates(sys, kappa)
     out -= half[:, None] * m
     out -= m * half[None, :]
@@ -285,22 +325,22 @@ def _drop_ring_odd(
     return np.eye(n), np.zeros((n, n), dtype=complex)
 
 
-def _mirror_gauge(s: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray | None:
-    """Phases d with d_i a[s_i, s_j] conj(d_j) = a[i, j] to tol and d_i d[s_i] = 1, or None.
+def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None) -> np.ndarray:
+    """Unit phases d for d_i b[i, j] conj(d_j) = a[i, j]: if any phases satisfy it, these do.
 
-    Then S x = d * x[s] is a unitary involution that commutes with a.  One
-    depth-first walk over the bonds of a (its entries above tol) fixes d on
-    a spanning tree of each connected part: a bond i -> j sets
-    d_j = d_i * phase(conj(a[i, j]) a[s_i, s_j]), so d = 1 where s commutes
-    with a itself.
-    A part's first site takes d = 1, or conj(d) of its image if that is set
-    already; a part mapped onto itself is then rotated by one common phase
-    so that d_i d[s_i] = 1.  The commutation check over every entry of a,
-    with the phases, decides.
+    One depth-first walk over the bonds of a (its entries above tol) fixes d
+    on a spanning tree of each connected part: a bond i -> j sets
+    d_j = d_i * phase(conj(a[i, j]) b[i, j]), so d = 1 where b = a, and a
+    part's first site takes d = 1.  With an involution s and
+    b = a[s][:, s] (the mirror), d is also made to satisfy d_i d[s_i] = 1, so
+    that S x = d * x[s] is a unitary involution that commutes with a: a
+    part's first site takes conj(d) of its image if that is set already, and
+    a part mapped onto itself is rotated by one common phase.  The walk
+    does not check the relation off the tree: the caller does.
     """
-    n = s.size
-    rows, cols = np.nonzero(np.abs(a) > tol)
-    w = a[rows, cols].conj() * a[s[rows], s[cols]]
+    n = a.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(np.abs(a) > tol), n)
+    w = a[rows, cols].conj() * b[rows, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (w / np.abs(w)).tolist()
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
@@ -310,7 +350,7 @@ def _mirror_gauge(s: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray | None
     for r in range(n):
         if d[r] is not None:
             continue
-        d[r] = 1.0 + 0j if d[s[r]] is None else d[s[r]].conjugate()
+        d[r] = 1.0 + 0j if s is None or d[s[r]] is None else d[s[r]].conjugate()
         stack = [r]
         while stack:
             i = stack.pop()
@@ -321,11 +361,10 @@ def _mirror_gauge(s: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray | None
                     root[j] = r
                     stack.append(j)
     d = np.array(d)
-    root = np.array(root)
-    d /= np.sqrt(d[root] * d[s[root]])
-    if np.abs(d[:, None] * a[np.ix_(s, s)] * d.conj() - a).max() <= tol:
-        return d
-    return None
+    if s is not None:
+        root = np.array(root)
+        d /= np.sqrt(d[root] * d[s[root]])
+    return d
 
 
 def _mirror_split(
@@ -336,7 +375,7 @@ def _mirror_split(
     The mirror maps lattice site i to n_lattice - 1 - i and left ring site
     m to right ring site m, and q's columns onto each other as
     s = argmax(q^T q[mirror], axis=0).  Where the rings have equal size and
-    a gauge d makes S x = d * x[s] commute with a_q (``_mirror_gauge``), q
+    a gauge d makes S x = d * x[s] commute with a_q (``_gauge``), q
     splits into the + and - blocks of S (``_pair_basis``): d = 1 on the SSH
     chains, and the Peierls phases of the rhombic chains need d != 1.
     Otherwise the mirror is the identity and (q, a_q) the one block.  Only A
@@ -347,10 +386,45 @@ def _mirror_split(
         idx = np.arange(imap.size)
         mirror = np.concatenate([idx[imap.lattice][::-1], idx[imap.right], idx[imap.left]])
         s = np.argmax(q.T @ q[mirror], axis=0)
-        d = _mirror_gauge(s, a_q, tol)
-        if d is not None:
+        a_s = a_q[np.ix_(s, s)]
+        d = _gauge(a_q, a_s, tol, s)
+        if np.abs(d[:, None] * a_s * d.conj() - a_q).max() <= tol:
             return s, [(q @ p, p.conj().T @ a_q @ p) for p in _pair_basis(s, d)]
     return np.arange(q.shape[1]), [(q, a_q)]
+
+
+def _chiral_fold(
+    a: np.ndarray, blocks: list[tuple], tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(p, g) with B_-[p][:, p] = g conj(B_+) conj(g) for the two mirror blocks, or None.
+
+    Phases c with c conj(a) conj(c) = a (``_gauge`` against conj(a)) make
+    C x = c * conj(x) an antiunitary symmetry of a.  They exist where the
+    lattice and the rings form a bipartite graph with hoppings real up to a
+    gauge and no on-site energy, so that a's diagonal is the real rates;
+    then c is the sublattice sign.  Where C anticommutes with the mirror S
+    (an even SSH chain, whose mirror swaps the sublattices, or a rhombic
+    chain at flux pi, whose mirror gauge is imaginary), C maps the + block
+    onto the - block, c conj(Q_+) = Q_-[:, p] diag(g) for a column
+    permutation p and unit phases g, and the blocks are related as above.
+    Both relations are checked on every entry, which checks c on the kept
+    blocks, where the solve needs it.  blocks holds (Q_s, Q_s^dag, B_s, ...)
+    of ``_Sectors``.
+    """
+    if len(blocks) != 2 or blocks[0][2].shape != blocks[1][2].shape:
+        return None
+    c = _gauge(a, a.conj(), tol)
+    (q_p, _, b_p, _), (q_m, qh_m, b_m, _) = blocks
+    cq = c[:, None] * q_p.conj()
+    w = qh_m @ cq
+    p = np.argmax(np.abs(w), axis=0)
+    g = w[p, np.arange(p.size)]
+    if (
+        np.abs(q_m[:, p] * g - cq).max() <= tol
+        and np.abs(b_m[np.ix_(p, p)] - g[:, None] * b_p.conj() * g.conj()).max() <= tol
+    ):
+        return p, g
+    return None
 
 
 def _re_row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -372,8 +446,11 @@ class _Sectors:
     from A only by z on the lattice diagonal, where it is 0, so its
     tolerance is no larger than that of any A.  ``blocks`` holds
     (Q_s, Q_s^dag, B_s, the indices where p_s = 1), + block first,
-    ``block_sizes`` their sizes and ``lattice_mirror`` the mirror of the
-    lattice sites (the identity when A does not split).
+    ``block_sizes`` their sizes, ``lattice_mirror`` the mirror of the
+    lattice sites (the identity when A does not split) and ``chiral`` the
+    relation (p, g) between B_+ and B_- of ``_chiral_fold``, or None.  The
+    conjugation in that relation takes z to conj(z), so it carries over to
+    the blocks of A only where z is real: at gate 0.
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -393,6 +470,7 @@ class _Sectors:
             on_lattice = np.flatnonzero(np.abs(q_s[imap.lattice]).max(axis=0) > 0)
             self.blocks.append((q_s, np.ascontiguousarray(q_s.conj().T), b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
+        self.chiral = _chiral_fold(a, self.blocks, tol)
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -418,7 +496,11 @@ class _SylvesterFactorization:
     """Eigendecomposition of A = iH + Delta, one block of ``_Sectors`` at a time.
 
     Each block, B_s + z p_s in the basis Q_s, is eigendecomposed on its own,
-    Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1; ``rho_odd``, ``block_sizes`` and
+    Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1, except that where ``_Sectors``
+    holds the chiral relation (p, g) and z is real (``folded``) the - block
+    follows from the + block: lam_- = conj(lam_+), V_-[p] = g conj(V_+) and
+    V_-^-1[:, p] = conj(V_+^-1) conj(g).  ``eig_blocks`` lists the sizes of
+    the eigendecompositions run; ``rho_odd``, ``block_sizes`` and
     ``lattice_mirror`` are those of ``_Sectors``.  ``lam`` concatenates the
     eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
     act in the site basis, so ``solve(source)`` returns the kept blocks'
@@ -439,14 +521,25 @@ class _SylvesterFactorization:
         self.lattice_mirror = sectors.lattice_mirror
         self.block_sizes = sectors.block_sizes
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
-        lams, vs, vinvs = [], [], []
+        self.folded = sectors.chiral is not None and z.imag == 0
+        lams, vs, vinvs, eig_blocks = [], [], [], []
         for q_s, qh_s, b_s, lat_s in sectors.blocks:
-            a_s = b_s.copy()
-            a_s[lat_s, lat_s] += z
-            lam, v = np.linalg.eig(a_s)
+            if self.folded and lams:
+                p, g = sectors.chiral
+                lam, v_c, vinv_c = lam.conj(), v.conj(), vinv.conj()
+                v, vinv = np.empty_like(v), np.empty_like(vinv)
+                v[p] = g[:, None] * v_c
+                vinv[:, p] = vinv_c * g.conj()
+            else:
+                a_s = b_s.copy()
+                a_s[lat_s, lat_s] += z
+                lam, v = np.linalg.eig(a_s)
+                vinv = np.linalg.inv(v)
+                eig_blocks.append(lam.size)
             lams.append(lam)
             vs.append(q_s @ v)
-            vinvs.append(np.linalg.inv(v) @ qh_s)
+            vinvs.append(vinv @ qh_s)
+        self.eig_blocks = tuple(eig_blocks)
         self.lam = lam = np.concatenate(lams)
         self.v = np.hstack(vs)
         self.vinv = np.vstack(vinvs)
@@ -489,7 +582,9 @@ class _SylvesterFactorization:
         once (lo and the fixed sites), the same-block pairs of Y_j give E and
         the (+, -) pair X = 2 Re sum; then M[i, j] = M[Si, Sj] = E + X and
         M[Si, j] = M[i, Sj] = E - X, over rows i in the same half.  Unsplit,
-        the mirror is the identity and there is no - block, so X = 0.
+        the mirror is the identity and there is no - block, so X = 0.  Folded
+        by C, the - block is the conjugate of the + block, whose (-, -) term
+        is the complex conjugate of its (+, +) term: E is twice the latter.
         """
         nl = latt.size
         mir = self.lattice_mirror
@@ -504,7 +599,8 @@ class _SylvesterFactorization:
         m = np.empty((nl, nl))
         for j in half:
             w_e, w_o = v_e * u[e, j], v_o * u[o, j]
-            same = _re_row_dot(w_e @ inv_ee, w_e) + _re_row_dot(w_o @ inv_oo, w_o)
+            same = _re_row_dot(w_e @ inv_ee, w_e)
+            same = 2.0 * same if self.folded else same + _re_row_dot(w_o @ inv_oo, w_o)
             cross = 2.0 * _re_row_dot(w_e @ inv_eo, w_o)
             m[half, j] = m[mir[half], mir[j]] = same + cross
             m[mir[half], j] = m[half, mir[j]] = same - cross
@@ -515,7 +611,7 @@ def _solve_sylvester(
     sys: CompositeSystem,
     kappa: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int, float, list[str]]:
+) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
     notes: list[str] = []
     fact = _SylvesterFactorization(sys, kappa)
     if fact.dark_pairs.any():
@@ -544,7 +640,7 @@ def _solve_sylvester(
     rho = fact.back(t)
     rho = rho + fact.rho_odd
     rho = 0.5 * (rho + rho.conj().T)
-    return rho, solves, _residual(sys, rho, kappa), notes
+    return rho, solves, _residual(sys, rho, kappa), notes, fact.eig_blocks
 
 
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -568,7 +664,7 @@ def _solve_full_linear(
     sys: CompositeSystem,
     kappa: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int, float, list[str]]:
+) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
     n = sys.size
     if n > FULL_LINEAR_MAX_SIZE:
         raise ValueError(
@@ -595,7 +691,7 @@ def _solve_full_linear(
         rho = 0.5 * (rho + rho.conj().T)
         res = _residual(sys, rho, kappa)
         notes.append("direct solve was ill-conditioned; refined by least squares")
-    return rho, 1, res, notes
+    return rho, 1, res, notes, ()
 
 
 def solve_steady_state(
@@ -620,9 +716,9 @@ def solve_steady_state(
 
     start = time.perf_counter()
     if cfg.method == SolverMethod.SYLVESTER:
-        m, iters, res, notes = _solve_sylvester(sys, kappa, cfg)
+        m, iters, res, notes, eig_blocks = _solve_sylvester(sys, kappa, cfg)
     elif cfg.method == SolverMethod.FULL_LINEAR:
-        m, iters, res, notes = _solve_full_linear(sys, kappa, cfg)
+        m, iters, res, notes, eig_blocks = _solve_full_linear(sys, kappa, cfg)
     else:
         raise ValueError(f"unknown solver method {cfg.method!r}")
     wall = time.perf_counter() - start
@@ -634,6 +730,7 @@ def solve_steady_state(
         wall_time=wall,
         converged=res <= cfg.residual_tol,
         warnings=notes,
+        eig_blocks=eig_blocks,
     )
     if not diag.converged:
         raise SolverError(

@@ -442,6 +442,9 @@ class TestCli:
         payload = json.loads((tmp_path / "o" / "steady_state.json").read_text())
         assert payload["diagnostics"]["method"] == "SylvesterIteration"
         assert payload["diagnostics"]["residual"] < 1e-9
+        # an even SSH chain at gate 0: one eigendecomposition serves both
+        # mirror blocks
+        assert payload["diagnostics"]["eig_blocks"] == [7]
         assert payload["data"]["spdm"]["N"] == 20
         assert len(payload["data"]["populations"]) == 4
         prof = (tmp_path / "o" / "profile.csv").read_text().splitlines()
@@ -693,10 +696,17 @@ class TestCli:
         # BLAS thread count would reach the 12th digit if sweeps used it.
         fig1 = json.loads((CONFIGS / "fig1.json").read_text())
         fig1["sweep"] = {"axis": "delta", "values": [-0.5, -0.25, 0.0, 0.25, 0.5]}
+        # fig2 is at gate 0, where the chiral fold serves both mirror blocks
+        fig2 = json.loads((CONFIGS / "fig2.json").read_text())
+        fig2["sweep"] = {"axis": "kappa", "values": [1e-4, 1e-3, 3e-3]}
         blas = _openblas_threads()
         saved = blas[0]() if blas else None
         try:
-            for name, raw in [("small", small), ("fig1", fig1)]:
+            for name, raw, command in [
+                ("small", small, "sweep-gate"),
+                ("fig1", fig1, "sweep-gate"),
+                ("fig2", fig2, "sweep-kappa"),
+            ]:
                 cfg = write_cfg(tmp_path, raw, f"{name}.json")
                 csvs = set()
                 for threads in (1, 2) if blas else (None,):
@@ -704,9 +714,9 @@ class TestCli:
                         blas[1](threads)
                     for parallel in ("1", "2", "4"):
                         out = tmp_path / f"{name}-{threads}-{parallel}"
-                        argv = ["sweep-gate", "--config", cfg, "--out", str(out)]
+                        argv = [command, "--config", cfg, "--out", str(out)]
                         assert main(argv + ["--parallel", parallel]) == 0
-                        csvs.add((out / "sweep_gate.csv").read_bytes())
+                        csvs.add((out / f"{command.replace('-', '_')}.csv").read_bytes())
                 assert len(csvs) == 1, name
             # steady holds BLAS at one thread too, so its CSVs match as well
             cfg = write_cfg(tmp_path, fig1, "fig1.json")

@@ -445,6 +445,17 @@ class TestCoupledSector:
 def mirror_test_system(name):
     """A small system whose whole-system mirror holds or is broken in one way."""
     leads = RingLead(size=4, mu=0.3, beta=5.0), RingLead(size=4, mu=-0.02, beta=5.0)
+    if name == "ssh-chain":
+        return assemble_composite(build_ssh(4, 0.5, 1.0), *leads, 0.2)
+    if name == "mirrored-onsite":
+        # mirror-symmetric on-site terms keep the mirror and break the fold
+        sys = assemble_composite(build_ssh(4, 0.5, 1.0), *leads, 0.2)
+        h = sys.h_total.copy()
+        h[0, 0] = h[3, 3] = 0.1
+        return dataclasses.replace(sys, h_total=h)
+    if name == "gated-ssh-chain":
+        # the gate keeps the mirror and breaks the chiral fold
+        return assemble_composite(build_ssh(4, 0.5, 1.0, gate=0.3), *leads, 0.2)
     if name == "odd-uniform-chain":
         # the mirror fixes the middle site
         return assemble_composite(build_ssh(5, 1.0, 1.0, allow_odd_length=True), *leads, 0.2)
@@ -470,6 +481,9 @@ def mirror_test_system(name):
             h[:4, block.start + 1] = contact
             h[block.start + 1, :4] = contact.conj()
         return dataclasses.replace(sys, h_total=h)
+    if name == "rhombic-chain-at-pi":
+        # real hoppings and a mirror gauge d = +-i: the chiral fold holds
+        return assemble_composite(build_rhombic(3, 1.0, math.pi), *leads, 0.2)
     rhombic = build_rhombic(3, 1.0, 2.74)
     if name == "rhombic-chain":
         # the mirror holds up to the Peierls gauge phases
@@ -493,31 +507,45 @@ def mirror_test_system(name):
     return assemble_composite(build_custom(hop), *leads, 0.2)
 
 
-# name: (block sizes, kappas).  The odd uniform chain (whose middle site
-# is a fixed point), the chain with both contacts moved and the rhombic
-# chain (through its gauge phases) keep the mirror; each other case breaks
-# it one way.
+# name: (block sizes, sizes of the eigendecompositions run, kappas).  The
+# odd uniform chain (whose middle site is a fixed point), the chain with
+# both contacts moved and the rhombic chains (through their gauge phases)
+# keep the mirror; each other case breaks it one way.  Where the chiral
+# fold holds (an even chain with real hoppings, no on-site term and gate 0)
+# one eigendecomposition serves both blocks.
 # Unequal rings are inputs of TestCoupledSector.test_reduction_matches_oracle.
 MIRROR_CASES = {
-    "odd-uniform-chain": ((6, 5), (0.0, 0.01, 3.0)),
-    "both-contacts-at-site-1": ((6, 6), (0.0, 0.01, 3.0)),
-    "unequal-gammas": ((10,), (0.0, 0.01, 3.0)),
-    "odd-ssh-chain": ((11,), (0.0, 0.01, 3.0)),
-    "custom-onsite": ((10,), (0.0, 0.01, 3.0)),
+    "ssh-chain": ((5, 5), (5,), (0.0, 0.01, 3.0)),
+    "gated-ssh-chain": ((5, 5), (5, 5), (0.0, 0.01, 3.0)),
+    "mirrored-onsite": ((5, 5), (5, 5), (0.0, 0.01, 3.0)),
+    "odd-uniform-chain": ((6, 5), (6, 5), (0.0, 0.01, 3.0)),
+    "both-contacts-at-site-1": ((6, 6), (6,), (0.0, 0.01, 3.0)),
+    "unequal-gammas": ((10,), (10,), (0.0, 0.01, 3.0)),
+    "odd-ssh-chain": ((11,), (11,), (0.0, 0.01, 3.0)),
+    "custom-onsite": ((10,), (10,), (0.0, 0.01, 3.0)),
     # at kappa = 0 the rhombic chains hold caged, dark lattice states
-    "rhombic-chain": ((8, 8), (0.01, 3.0)),
-    "rhombic-arm-termination": ((9, 8), (0.01, 3.0)),
-    "rhombic-arm-onsite": ((16,), (0.01, 3.0)),
-    "rhombic-unequal-flux": ((16,), (0.01, 3.0)),
+    "rhombic-chain-at-pi": ((8, 8), (8,), (0.01, 3.0)),
+    "rhombic-chain": ((8, 8), (8, 8), (0.01, 3.0)),
+    "rhombic-arm-termination": ((9, 8), (9, 8), (0.01, 3.0)),
+    "rhombic-arm-onsite": ((16,), (16,), (0.01, 3.0)),
+    "rhombic-unequal-flux": ((16,), (16,), (0.01, 3.0)),
 }
 
 
 SHIPPED_BLOCKS = {"fig1": (51, 51), "fig2": (51, 51), "fig3": (44, 44), "fig4": (44, 44)}
+# at the configs' own gates: fig1 and fig2 at 0 fold, fig3's flux and fig4's
+# gate do not
+SHIPPED_EIG_BLOCKS = {"fig1": (51,), "fig2": (51,), "fig3": (44, 44), "fig4": (44, 44)}
 
 
 def one_block(imap, q, a_q, tol):
     """``_mirror_split`` that never splits."""
     return np.arange(q.shape[1]), [(q, a_q)]
+
+
+def no_fold(a, blocks, tol):
+    """``_chiral_fold`` that never folds."""
+    return None
 
 
 def refined(sys, kappa, rho, steps=2):
@@ -537,23 +565,48 @@ def refined(sys, kappa, rho, steps=2):
     return rho
 
 
+class TestBondCommutator:
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", *MIRROR_CASES])
+    def test_commutator_over_bonds(self, name):
+        # against the commutator as two dense products, for a matrix that is
+        # not Hermitian (propagate's Runge-Kutta stages are not)
+        if name.startswith("fig"):
+            sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
+        else:
+            sys = mirror_test_system(name)
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(sys.size,) * 2) + 1j * rng.normal(size=(sys.size,) * 2)
+        h = sys.h_total
+        for kappa in (0.0, 0.01):
+            dense = -1j * (h @ m - m @ h)
+            half = 0.5 * (sys.gamma_by_index + kappa * sys.lattice_mask)
+            dense -= half[:, None] * m + m * half[None, :]
+            dense += sys.drive
+            latt = np.flatnonzero(sys.lattice_mask)
+            dense[latt, latt] += kappa * m[latt, latt].real
+            out = apply_liouvillian(sys, m, kappa)
+            assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
 class TestMirrorSector:
     @pytest.mark.parametrize("fig, blocks", list(SHIPPED_BLOCKS.items()))
     def test_shipped_block_sizes(self, fig, blocks):
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         fact = _SylvesterFactorization(cfg.build_system(), 0.001)
         assert fact.block_sizes == blocks
+        assert fact.eig_blocks == SHIPPED_EIG_BLOCKS[fig]
         assert fact.lam.shape == (sum(blocks),)
 
     @pytest.mark.parametrize("name", list(MIRROR_CASES))
     def test_split_only_under_the_mirror(self, name):
         # leads with unequal mu and beta < inf: the target breaks the mirror,
         # which the split must tolerate, since only A has to decouple
-        blocks, kappas = MIRROR_CASES[name]
+        blocks, eig_blocks, kappas = MIRROR_CASES[name]
         sys = mirror_test_system(name)
         for kappa in kappas:
             assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
+            assert diag.eig_blocks == eig_blocks
             full, _ = solve_quietly(sys, kappa, FULL)
             assert_allclose(rho.matrix, full.matrix, atol=1e-10)
             assert diag.residual < 1e-12
@@ -562,6 +615,7 @@ class TestMirrorSector:
         "fig, kappa, gate",
         [
             ("fig1", 0.0, 0.0),
+            ("fig1", 0.002, 0.0),
             ("fig1", 0.0, 0.3),
             ("fig2", 1e-4, 0.0),
             ("fig2", 3e-3, 0.0),
@@ -572,19 +626,29 @@ class TestMirrorSector:
         ],
     )
     def test_split_matches_one_block(self, monkeypatch, fig, kappa, gate):
-        # the same formula with eig of the whole coupled block; a system keeps
-        # the sector structure of its first solve, so the one-block solve
-        # takes a freshly built system
+        # the same formula with both mirror blocks eigendecomposed, and with
+        # eig of the whole coupled block; a system keeps the sector structure
+        # of its first solve, so each reference solve takes a freshly built
+        # system
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         sys = cfg.build_system(gate=gate)
         blocks = SHIPPED_BLOCKS[fig]
         assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
-        split = current_profile(solve_quietly(sys, kappa)[0], sys)
+        rho, diag = solve_quietly(sys, kappa)
+        # the SSH chain folds at gate 0 alone
+        assert diag.eig_blocks == (blocks[:1] if gate == 0.0 else blocks)
+        split = current_profile(rho, sys)
+        monkeypatch.setattr(master_eq, "_chiral_fold", no_fold)
+        sys = cfg.build_system(gate=gate)
+        rho, diag = solve_quietly(sys, kappa)
+        assert diag.eig_blocks == blocks
+        unfolded = current_profile(rho, sys)
         monkeypatch.setattr(master_eq, "_mirror_split", one_block)
         sys = cfg.build_system(gate=gate)
         assert _SylvesterFactorization(sys, kappa).block_sizes == (sum(blocks),)
         whole = current_profile(solve_quietly(sys, kappa)[0], sys)
-        assert abs(split.mean - whole.mean) <= 1e-9 * abs(whole.mean)
+        for reference in (unfolded, whole):
+            assert abs(split.mean - reference.mean) <= 1e-9 * abs(reference.mean)
         assert split.max_deviation <= 1e-6 * abs(split.mean)
 
     @pytest.mark.parametrize("fig", ["fig3", "fig4"])
@@ -608,27 +672,41 @@ class TestMirrorSector:
         assert split.max_deviation <= 1e-6 * abs(split.mean)
 
     @pytest.mark.parametrize(
-        "name", ["fig2", "fig4", "odd-uniform-chain", "rhombic-unequal-flux"]
+        "name",
+        [
+            "fig2",
+            "fig4",
+            "ssh-chain",
+            "rhombic-chain-at-pi",
+            "odd-uniform-chain",
+            "rhombic-unequal-flux",
+        ],
     )
-    def test_folded_dephasing_map(self, name):
-        # M against its definition, one unit source per lattice site
-        if name.startswith("fig"):
-            sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
-        else:
-            sys = mirror_test_system(name)
-        fact = _SylvesterFactorization(sys, 0.01)
-        latt = np.flatnonzero(sys.lattice_mask)
-        if name == "rhombic-unequal-flux":
-            assert fact.block_sizes == (16,)
-        else:
-            assert len(fact.block_sizes) == 2
-        direct = np.empty((latt.size, latt.size))
-        for j, site in enumerate(latt):
-            source = np.zeros((sys.size, sys.size), dtype=complex)
-            source[site, site] = 1.0
-            direct[:, j] = np.real(np.diag(fact.solve(source))[latt])
-        folded = fact.dephasing_map(latt)
-        assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
+    def test_folded_dephasing_map(self, monkeypatch, name):
+        # M against its definition, one unit source per lattice site, with
+        # the chiral fold where it holds and then with it disabled
+        folds = name in ("fig2", "ssh-chain", "rhombic-chain-at-pi")
+        for fold in (True, False):
+            if not fold:
+                monkeypatch.setattr(master_eq, "_chiral_fold", no_fold)
+            if name.startswith("fig"):
+                sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
+            else:
+                sys = mirror_test_system(name)
+            fact = _SylvesterFactorization(sys, 0.01)
+            assert fact.folded == (fold and folds)
+            latt = np.flatnonzero(sys.lattice_mask)
+            if name == "rhombic-unequal-flux":
+                assert fact.block_sizes == (16,)
+            else:
+                assert len(fact.block_sizes) == 2
+            direct = np.empty((latt.size, latt.size))
+            for j, site in enumerate(latt):
+                source = np.zeros((sys.size, sys.size), dtype=complex)
+                source[site, site] = 1.0
+                direct[:, j] = np.real(np.diag(fact.solve(source))[latt])
+            folded = fact.dephasing_map(latt)
+            assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
 
     @pytest.mark.parametrize("name", ["fig2", "fig4", "rhombic-unequal-flux"])
     def test_lattice_diagonal_from_the_ring_columns(self, name):
@@ -721,7 +799,7 @@ class TestSharedSectors:
         broken = mirror_test_system(name)
         for field in ("h_total", "gamma_by_index", "drive"):
             assert_allclose(getattr(sys, field), getattr(broken, field), rtol=0, atol=1e-15)
-        blocks, kappas = MIRROR_CASES[name]
+        blocks, _, kappas = MIRROR_CASES[name]
         assert blocks == (10,)
         for kappa in kappas:
             assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
