@@ -139,11 +139,10 @@ class CompositeSystem:
     drive: np.ndarray
     gamma_by_index: np.ndarray
     lattice_mask: np.ndarray
-    # the master equation's sector structure (``master_eq._Sectors``) and
-    # h_total's neighbour table (``master_eq._bond_table``), each built on
-    # first use; dataclasses.replace starts the copy without them
+    # the master equation's sector structure (``master_eq._Sectors``), built
+    # on the first solve; an edit of h_total in place leaves it stale, which
+    # the residual refuses, and dataclasses.replace starts the copy without it
     _sectors: object = field(default=None, init=False, compare=False, repr=False)
-    _bonds: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:

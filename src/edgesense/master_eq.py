@@ -8,7 +8,8 @@ N x N single-particle density matrix rho:
                  + gamma * target + kappa * diag_lattice(rho)
 
 with Delta the diagonal half-rate matrix (gamma/2 on lead indices,
-kappa/2 on lattice indices).  Two steady-state routes are provided:
+kappa/2 on lattice indices): the first two terms are -(A rho + rho A^dag)
+with the generator A = iH + Delta.  Two steady-state routes are provided:
 
 * ``SylvesterIteration`` (default): one eigendecomposition of
   A = iH + Delta turns every solve of A rho + rho A^dag = S into two
@@ -38,11 +39,16 @@ kappa/2 on lattice indices).  Two steady-state routes are provided:
   are found once per system and kept on it (a gate sweep shares them
   between its rows, ``share_sectors``), and a solve pays for the
   eigendecomposition of each block, not for finding the blocks.
-* ``FullLinearSolve``: direct solve of the vectorized N^2 generator,
-  gated to small N; serves as an independent oracle.
+* ``FullLinearSolve``: one SVD least-squares solve of the vectorized
+  N^2 generator, gated to small N; it returns the minimal-norm steady
+  state, as the guard does, warns where the generator is singular, and
+  serves as an independent oracle.
 
-``propagate`` integrates the same equation of motion over a finite time,
-for the transient.
+Each solve reports the residual of the equation of motion, taken over
+the bonds of A as h_total holds them at that call: it keeps nothing on
+the system, so it checks the reused blocks rather than trusting them.
+``propagate`` integrates the same equation over a finite time, for the
+transient.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import enum
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,29 +139,46 @@ def _residual_scale(sys: CompositeSystem) -> float:
     return max(1.0, float(np.abs(sys.target).max()))
 
 
-def _bond_table(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h_total's neighbour table (idx, fwd, bwd), built on first use and kept on sys.
+def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> d rho/dt = drive - A rho - rho A^dag + kappa diag_lattice(rho), A = iH + Delta.
 
-    Row i of idx lists the j with h[i, j] != 0 or h[j, i] != 0, padded with
-    column 0; fwd[i, k] = h[i, idx[i, k]] and bwd[i, k] = h[idx[i, k], i],
-    both 0 on the padding.  So (h m)[i] = sum_k fwd[i, k] m[idx[i, k]] and
-    (m h)[:, i] = sum_k m[:, idx[i, k]] bwd[i, k] for any m.
+    A rho is summed over A's diagonal and its bonds, the off-diagonal
+    entries, which are read from h_total on every call, so an edit in place
+    is seen at once: row i of idx lists the j != i with h[i, j] != 0, padded
+    with column 0 and amplitude 0, a few per site for a chain plus two rings.
+    rho A^dag is (A rho^dag)^dag, which is (A rho)^dag when rho equals its
+    adjoint bitwise: then one pass over the bonds serves both terms.
     """
-    if sys._bonds is None:
-        h = sys.h_total
-        n = h.shape[0]
-        nz = h != 0
-        rows, cols = np.divmod(np.flatnonzero(nz | nz.T), n)
-        counts = np.bincount(rows, minlength=n)
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
-        fwd = np.zeros(idx.shape, dtype=h.dtype)
-        bwd = np.zeros(idx.shape, dtype=h.dtype)
-        idx[rows, slot] = cols
-        fwd[rows, slot] = h[rows, cols]
-        bwd[rows, slot] = h[cols, rows]
-        sys._bonds = idx, fwd, bwd
-    return sys._bonds
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
+    h = sys.h_total
+    n = h.shape[0]
+    bonds = h != 0
+    np.fill_diagonal(bonds, False)
+    rows, cols = np.divmod(np.flatnonzero(bonds), n)
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
+    amp = np.zeros(idx.shape, dtype=complex)
+    idx[rows, slot] = cols
+    amp[rows, slot] = 1j * h[rows, cols]
+    diag = 1j * h.diagonal() + _half_rates(sys, kappa)
+    latt = np.flatnonzero(sys.lattice_mask)
+
+    def times_a(x: np.ndarray) -> np.ndarray:
+        out = diag[:, None] * x
+        for k in range(idx.shape[1]):
+            out += amp[:, k, None] * x[idx[:, k]]
+        return out
+
+    def rhs(m: np.ndarray) -> np.ndarray:
+        am = times_a(m)
+        ma = am if np.array_equal(m, m.conj().T) else times_a(np.ascontiguousarray(m.conj().T))
+        out = sys.drive - am - ma.conj().T
+        out[latt, latt] += kappa * m[latt, latt].real
+        return out
+
+    return rhs
 
 
 def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float) -> np.ndarray:
@@ -164,27 +188,10 @@ def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float
     gamma/2 per index plus the thermal drive; cross-lead coherences decay
     with no source.  Dephasing: inter-site coherences decay at kappa
     (kappa/2 per lattice index) while the lattice diagonal is untouched.
-    The commutator with H runs over the bonds of H (``_bond_table``): a
-    chain plus two rings has a few per site.
+    Both, and the commutator with H, are -(A rho + rho A^dag), taken over
+    the bonds of A (``_liouvillian``).
     """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    m = _as_matrix(rho)
-    idx, fwd, bwd = _bond_table(sys)
-    comm = np.zeros(m.shape, dtype=complex)
-    for k in range(idx.shape[1]):
-        comm += fwd[:, k, None] * m[idx[:, k]]
-        comm -= m[:, idx[:, k]] * bwd[:, k]
-    out = -1j * comm
-    half = _half_rates(sys, kappa)
-    out -= half[:, None] * m
-    out -= m * half[None, :]
-    out += sys.drive
-    if kappa > 0:
-        latt = sys.lattice_mask
-        idx = np.where(latt)[0]
-        out[idx, idx] += kappa * np.real(m[idx, idx])
-    return out
+    return _liouvillian(sys, kappa)(_as_matrix(rho))
 
 
 def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float) -> float:
@@ -230,6 +237,7 @@ def propagate(
     if t_final == 0:
         return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time)
 
+    rhs = _liouvillian(sys, kappa)
     t = 0.0
     dt = min(dt, t_final)
     dt_floor = 1e-13 * max(1.0, t_final)
@@ -241,7 +249,7 @@ def propagate(
             stage = m
             if row:
                 stage = m + dt * sum(a * ki for a, ki in zip(row, k))
-            k.append(apply_liouvillian(sys, stage, kappa))
+            k.append(rhs(stage))
         m5 = m + dt * sum(b * ki for b, ki in zip(_CK_B5, k))
         m4 = m + dt * sum(b * ki for b, ki in zip(_CK_B4, k))
         err = float(np.abs(m5 - m4).max())
@@ -455,7 +463,7 @@ class _Sectors:
 
     def __init__(self, sys: CompositeSystem):
         imap = sys.index_map
-        half = 0.5 * sys.gamma_by_index
+        half = _half_rates(sys, 0.0)
         gate = np.diag(sys.lattice.gate_offset * sys.lattice_mask)
         a = 1j * (sys.h_total - gate) + np.diag(half)
         tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
@@ -646,17 +654,16 @@ def _solve_sylvester(
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
     """Vectorized generator L with vec(d rho/dt) = L vec(rho) + vec(drive).
 
-    Row-major vectorization: vec(A X B) = (A kron B^T) vec(X).
+    Row-major vectorization, vec(A X B) = (A kron B^T) vec(X), turns
+    -(A rho + rho A^dag) into -(A kron 1 + 1 kron conj(A)); the dephasing
+    feeds kappa back on the lattice-diagonal pairs.
     """
     n = sys.size
-    h = sys.h_total
+    a = 1j * sys.h_total + np.diag(_half_rates(sys, kappa))
     eye = np.eye(n)
-    lin = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    half = _half_rates(sys, kappa)
-    lin -= np.diag((half[:, None] + half[None, :]).reshape(-1))
-    if kappa > 0:
-        for p in np.where(sys.lattice_mask)[0]:
-            lin[p * n + p, p * n + p] += kappa
+    lin = -(np.kron(a, eye) + np.kron(eye, a.conj()))
+    latt = np.flatnonzero(sys.lattice_mask)
+    lin[latt * (n + 1), latt * (n + 1)] += kappa
     return lin
 
 
@@ -665,6 +672,7 @@ def _solve_full_linear(
     kappa: float,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
+    """The minimal-norm rho with L vec(rho) = -vec(drive), the guard's convention."""
     n = sys.size
     if n > FULL_LINEAR_MAX_SIZE:
         raise ValueError(
@@ -672,26 +680,13 @@ def _solve_full_linear(
         )
     notes: list[str] = []
     lin = build_superoperator(sys, kappa)
-    b = -sys.drive.reshape(-1)
-    try:
-        x = np.linalg.solve(lin, b)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.isfinite(x).all():
-        x = np.linalg.lstsq(lin, b, rcond=None)[0]
+    x, _, rank, _ = np.linalg.lstsq(lin, -sys.drive.reshape(-1), rcond=None)
+    if rank < n * n:
         notes.append("generator is singular; least-squares minimal-norm steady state returned")
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
-    res = _residual(sys, rho, kappa)
-    if res > cfg.residual_tol and not notes:
-        # ill-conditioned direct solve; retry with the pseudo-inverse route
-        x = np.linalg.lstsq(lin, b, rcond=None)[0]
-        rho = x.reshape(n, n)
-        rho = 0.5 * (rho + rho.conj().T)
-        res = _residual(sys, rho, kappa)
-        notes.append("direct solve was ill-conditioned; refined by least squares")
-    return rho, 1, res, notes, ()
+    return rho, 1, _residual(sys, rho, kappa), notes, ()
 
 
 def solve_steady_state(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -217,6 +218,25 @@ class TestSteadyState:
         assert diag.converged
         assert diag.residual < 1e-9
         rho.validate(tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "cells, ring, gate",
+        [(2, 4, 0.0), (2, 4, 1 / math.sqrt(2)), (3, 4, 0.3), (2, 6, 0.0)],
+        ids=["cells2-ring4-gate0", "cells2-ring4-gate0.707", "cells3-ring4-gate0.3", "cells2-ring6-gate0"],
+    )
+    def test_oracle_at_flux_pi(self, cells, ring, gate):
+        # caged states leave the generator singular at kappa = 0: the oracle
+        # returns the minimal-norm steady state, as the Sylvester guard does,
+        # and says that L is singular
+        leads = RingLead(size=ring, mu=0.3, beta=5.0), RingLead(size=ring, mu=-0.1, beta=5.0)
+        sys = assemble_composite(build_rhombic(cells, 1.0, math.pi, gate=gate), *leads, 0.2)
+        with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free"):
+            syl, _ = solve_steady_state(sys, 0.0)
+        with pytest.warns(DegenerateSteadyStateWarning, match="generator is singular"):
+            full, diag = solve_steady_state(sys, 0.0, FULL)
+        assert diag.converged
+        full.validate()
+        assert np.abs(full.matrix - syl.matrix).max() <= 1e-10
 
     def test_disconnected_device_warns(self):
         sys = make_ssh_system(epsilon=0.0)
@@ -569,15 +589,19 @@ class TestBondCommutator:
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", *MIRROR_CASES])
     def test_commutator_over_bonds(self, name):
         # against the commutator as two dense products, for a matrix that is
-        # not Hermitian (propagate's Runge-Kutta stages are not)
+        # not Hermitian (propagate's Runge-Kutta stages are not), which takes
+        # a second pass over the bonds, and for one that is Hermitian
+        # bitwise (the solvers' states), which reuses the first
         if name.startswith("fig"):
             sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
         else:
             sys = mirror_test_system(name)
         rng = np.random.default_rng(17)
-        m = rng.normal(size=(sys.size,) * 2) + 1j * rng.normal(size=(sys.size,) * 2)
+        x = rng.normal(size=(sys.size,) * 2) + 1j * rng.normal(size=(sys.size,) * 2)
+        hermitian = 0.5 * (x + x.conj().T)
+        assert np.array_equal(hermitian, hermitian.conj().T)
         h = sys.h_total
-        for kappa in (0.0, 0.01):
+        for m, kappa in itertools.product((x, hermitian), (0.0, 0.01)):
             dense = -1j * (h @ m - m @ h)
             half = 0.5 * (sys.gamma_by_index + kappa * sys.lattice_mask)
             dense -= half[:, None] * m + m * half[None, :]
@@ -769,6 +793,26 @@ class TestSharedSectors:
             rho, _ = solve_steady_state(sys, k)
             fresh = current_profile(rho, sys).mean
             assert abs(shared - fresh) <= 1e-10 * abs(fresh)
+
+    def test_edit_in_place_is_refused(self):
+        # the structure kept on sys is stale once h_total is edited in place;
+        # the residual reads h_total afresh and refuses the solve, and a copy
+        # made by dataclasses.replace solves to the oracle's state
+        def build():
+            leads = RingLead(size=8, mu=0.1), RingLead(size=8, mu=-0.1)
+            return assemble_composite(build_ssh(4, 0.5, 1.0), *leads, 0.2)
+
+        sys = build()
+        solve_steady_state(sys, 0.01)
+        sys.h_total[1, 2] = sys.h_total[2, 1] = -0.9
+        with pytest.raises(SolverError) as err:
+            solve_steady_state(sys, 0.01)
+        assert err.value.diagnostics.residual > 1e-3
+        fresh = build()
+        fresh.h_total[1, 2] = fresh.h_total[2, 1] = -0.9
+        full, _ = solve_steady_state(fresh, 0.01, FULL)
+        rho, _ = solve_steady_state(dataclasses.replace(sys), 0.01)
+        assert np.abs(rho.matrix - full.matrix).max() <= 1e-10
 
     @pytest.mark.parametrize("name", ["unequal-gammas", "custom-onsite"])
     def test_replace_rederives_the_structure(self, name):
