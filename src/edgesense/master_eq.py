@@ -40,9 +40,9 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   between its rows, ``share_sectors``), and a solve pays for the
   eigendecomposition of each block, not for finding the blocks.
 * ``FullLinearSolve``: one SVD least-squares solve of the vectorized
-  N^2 generator, gated to small N; it returns the minimal-norm steady
-  state, as the guard does, warns where the generator is singular, and
-  serves as an independent oracle.
+  N^2 generator, gated to small N; where the generator is exactly
+  singular it warns and returns the minimal-norm steady state, as the
+  guard does, and it serves as an independent oracle.
 
 Each solve reports the residual of the equation of motion, taken over
 the bonds of A as h_total holds them at that call: it keeps nothing on
@@ -142,12 +142,13 @@ def _residual_scale(sys: CompositeSystem) -> float:
 def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """rho -> d rho/dt = drive - A rho - rho A^dag + kappa diag_lattice(rho), A = iH + Delta.
 
-    A rho is summed over A's diagonal and its bonds, the off-diagonal
-    entries, which are read from h_total on every call, so an edit in place
-    is seen at once: row i of idx lists the j != i with h[i, j] != 0, padded
-    with column 0 and amplitude 0, a few per site for a chain plus two rings.
-    rho A^dag is (A rho^dag)^dag, which is (A rho)^dag when rho equals its
-    adjoint bitwise: then one pass over the bonds serves both terms.
+    Both products are summed over A's diagonal and its bonds, the
+    off-diagonal entries, which are read from h_total on every call, so an
+    edit in place is seen at once: row i of idx lists the j != i with
+    h[i, j] != 0, padded with column 0 and amplitude 0, a few per site for a
+    chain plus two rings.  A's rows give both, for any rho:
+    (A rho)[i] = diag[i] rho[i] + sum_k amp[i, k] rho[idx[i, k]] and
+    (rho A^dag)[:, i] = rho[:, i] conj(diag[i]) + sum_k rho[:, idx[i, k]] conj(amp[i, k]).
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
@@ -165,16 +166,12 @@ def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], n
     diag = 1j * h.diagonal() + _half_rates(sys, kappa)
     latt = np.flatnonzero(sys.lattice_mask)
 
-    def times_a(x: np.ndarray) -> np.ndarray:
-        out = diag[:, None] * x
-        for k in range(idx.shape[1]):
-            out += amp[:, k, None] * x[idx[:, k]]
-        return out
-
     def rhs(m: np.ndarray) -> np.ndarray:
-        am = times_a(m)
-        ma = am if np.array_equal(m, m.conj().T) else times_a(np.ascontiguousarray(m.conj().T))
-        out = sys.drive - am - ma.conj().T
+        out = sys.drive - diag[:, None] * m
+        out -= m * diag.conj()
+        for k in range(idx.shape[1]):
+            out -= amp[:, k, None] * m[idx[:, k]]
+            out -= m[:, idx[:, k]] * amp[:, k].conj()
         out[latt, latt] += kappa * m[latt, latt].real
         return out
 
@@ -672,7 +669,12 @@ def _solve_full_linear(
     kappa: float,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
-    """The minimal-norm rho with L vec(rho) = -vec(drive), the guard's convention."""
+    """The least-squares rho with L vec(rho) = -vec(drive), minimal-norm where L is singular.
+
+    Where L is exactly singular (the dark sectors at kappa = 0) that is the
+    guard's convention; near such a point lstsq's rank cut and the guard's
+    denominator cut differ, and their agreement there is untested.
+    """
     n = sys.size
     if n > FULL_LINEAR_MAX_SIZE:
         raise ValueError(
