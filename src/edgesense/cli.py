@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,13 +64,7 @@ def _out_dir(args: argparse.Namespace, cfg: RunConfig | None) -> Path:
 
 
 def _parallel(args: argparse.Namespace) -> int:
-    if args.parallel is not None:
-        return max(1, args.parallel)
-    env = os.environ.get("EDGESENSE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    return max(1, args.parallel)
 
 
 def _gap_intervals(cfg: RunConfig) -> list[tuple[float, float]]:
@@ -235,7 +228,8 @@ def _add_common(parser: argparse.ArgumentParser, *, config_required: bool) -> No
     parser.add_argument(
         "--parallel",
         type=int,
-        help="concurrent solves for sweeps (default: EDGESENSE_THREADS or 1)",
+        default=1,
+        help="concurrent solves for sweeps (default: 1)",
     )
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .master_eq import SolverError, share_sectors, solve_steady_state
+from .master_eq import SolverError, at_gate, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -179,12 +179,12 @@ _EDGE_SITES = 2
 def _run_sweep(
     cfg: RunConfig,
     axis_name: str,
-    values: Sequence[float],
-    make_system: Callable[[int], object],
-    kappa_of: Callable[[int], float],
+    axis: np.ndarray,
+    gates: np.ndarray,
+    kappas: np.ndarray,
     parallel: int,
 ) -> SweepTable:
-    axis = np.asarray(values, dtype=float)
+    """Row i is the system cfg assembles, at gate gates[i], solved at kappas[i]."""
     n = axis.size
     if n == 0:
         raise ValueError("empty sweep grid")
@@ -196,9 +196,9 @@ def _run_sweep(
     converged = np.zeros(n)
 
     def run_row(i: int) -> None:
-        system = first if i == 0 else share_sectors(make_system(i), first)
+        system = at_gate(base, gates[i])
         try:
-            rho, diag = solve_steady_state(system, kappa_of(i), cfg.solver)
+            rho, diag = solve_steady_state(system, float(kappas[i]), cfg.solver)
         except SolverError as err:
             if err.diagnostics is not None:
                 residual[i] = err.diagnostics.residual
@@ -212,9 +212,10 @@ def _run_sweep(
 
     workers = max(1, min(int(parallel), n))
     with _one_blas_thread():
-        # rows differ at most in the gate and kappa, which the solver's
-        # sector structure leaves out: build it once, before the pool starts
-        first = share_sectors(make_system(0))
+        # every row is derived from one assembled system and differs from it
+        # in the gate and kappa alone, which its sector structure leaves out:
+        # at_gate builds that structure here, once, before the pool starts
+        base = at_gate(cfg.build_system(), gates[0])
         if workers == 1:
             for i in range(n):
                 run_row(i)
@@ -242,14 +243,7 @@ def sweep_gate(
     """Steady current versus gate offset at fixed decoherence rate."""
     kap = cfg.decoherence if kappa is None else float(kappa)
     gates = np.asarray(delta_values, dtype=float)
-    return _run_sweep(
-        cfg,
-        "delta",
-        gates,
-        make_system=lambda i: cfg.build_system(gate=float(gates[i])),
-        kappa_of=lambda i: kap,
-        parallel=parallel,
-    )
+    return _run_sweep(cfg, "delta", gates, gates, np.full(gates.size, kap), parallel)
 
 
 def sweep_decoherence(
@@ -260,16 +254,9 @@ def sweep_decoherence(
     parallel: int = 1,
 ) -> SweepTable:
     """Steady current versus decoherence rate at fixed gate offset."""
-    system = cfg.build_system(gate=delta)
-    kap = np.asarray(kappa_values, dtype=float)
-    return _run_sweep(
-        cfg,
-        "kappa",
-        kap,
-        make_system=lambda i: system,
-        kappa_of=lambda i: float(kap[i]),
-        parallel=parallel,
-    )
+    kappas = np.asarray(kappa_values, dtype=float)
+    gate = cfg.lattice.delta if delta is None else float(delta)
+    return _run_sweep(cfg, "kappa", kappas, np.full(kappas.size, gate), kappas, parallel)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ class Lattice:
     hamiltonian: np.ndarray
     site_labels: list[str]
     gate_offset: float
-    params: dict = field(default_factory=dict)
     cuts: list[Cut] = field(default_factory=list)
 
     def validate(self) -> None:
@@ -121,7 +120,6 @@ def build_ssh(
         hamiltonian=h,
         site_labels=labels,
         gate_offset=gate,
-        params={"length": length, "hop_intra": hop_intra, "hop_inter": hop_inter},
         cuts=cuts,
     )
 
@@ -201,7 +199,6 @@ def build_rhombic(
         hamiltonian=h,
         site_labels=labels,
         gate_offset=gate,
-        params={"n_cells": n_cells, "hop": hop, "flux": flux, "termination": termination},
         cuts=cuts,
     )
 
@@ -236,7 +233,6 @@ def build_custom(hoppings: np.ndarray, gate: float = 0.0, site_labels: list[str]
         hamiltonian=h,
         site_labels=list(labels),
         gate_offset=gate,
-        params={},
         cuts=cuts,
     )
     lat.validate()

@@ -140,8 +140,10 @@ class CompositeSystem:
     gamma_by_index: np.ndarray
     lattice_mask: np.ndarray
     # the master equation's sector structure (``master_eq._Sectors``), built
-    # on the first solve; an edit of h_total in place leaves it stale, which
-    # the residual refuses, and dataclasses.replace starts the copy without it
+    # on the first solve; ``master_eq.at_gate`` carries it to each row a sweep
+    # derives from this system; an edit of h_total in place leaves it stale,
+    # which the residual refuses, and dataclasses.replace starts the copy
+    # without it
     _sectors: object = field(default=None, init=False, compare=False, repr=False)
 
     @property

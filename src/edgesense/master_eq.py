@@ -36,9 +36,10 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   serves fig1/fig2 at delta = 0; fig3 (flux off pi) and fig4 (delta off 0)
   keep two at 44.
   The blocks do not depend on the gate or kappa (``_Sectors``), so they
-  are found once per system and kept on it (a gate sweep shares them
-  between its rows, ``share_sectors``), and a solve pays for the
-  eigendecomposition of each block, not for finding the blocks.
+  are found once per system and kept on it.  A sweep assembles one
+  system and derives each row from it with ``at_gate``, which carries the
+  blocks, so a solve pays for the eigendecomposition of each block, not
+  for finding the blocks.
 * ``FullLinearSolve``: one SVD least-squares solve of the vectorized
   N^2 generator, gated to small N; where the generator is exactly
   singular it warns and returns the minimal-norm steady state, as the
@@ -57,7 +58,7 @@ import enum
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -485,16 +486,26 @@ def _sectors(sys: CompositeSystem) -> _Sectors:
     return sys._sectors
 
 
-def share_sectors(sys: CompositeSystem, source: CompositeSystem | None = None) -> CompositeSystem:
-    """sys, carrying the sector structure of source (sys itself by default); returns sys.
+def at_gate(sys: CompositeSystem, gate: float) -> CompositeSystem:
+    """A copy of sys whose lattice sites all sit at the on-site energy gate.
 
-    The structure is built once, on source, and leaves out the gate and
-    kappa, so sys may differ from source in those alone: a gate sweep
-    builds it on one row and shares it with the others.  Every solve still
-    checks its own residual against sys.
+    The copy's h_total lattice diagonal, lattice.hamiltonian diagonal and
+    lattice.gate_offset hold gate; its other fields are sys's own objects.
+    It carries sys's sector structure, built on sys first if it is missing:
+    the structure leaves out the gate (``_Sectors``), so a sweep builds it
+    once on the system it assembles and derives every row from that.
+    Every solve still checks its own residual against the copy.
     """
-    sys._sectors = _sectors(sys if source is None else source)
-    return sys
+    gate = float(gate)
+    sectors = _sectors(sys)
+    hamiltonian = sys.lattice.hamiltonian.copy()
+    np.fill_diagonal(hamiltonian, gate)
+    h = sys.h_total.copy()
+    np.fill_diagonal(h[sys.index_map.lattice, sys.index_map.lattice], gate)
+    lattice = replace(sys.lattice, hamiltonian=hamiltonian, gate_offset=gate)
+    row = replace(sys, h_total=h, lattice=lattice)
+    row._sectors = sectors
+    return row
 
 
 class _SylvesterFactorization:

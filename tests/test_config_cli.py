@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import math
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edgesense.cli import _parallel, main
+from edgesense.cli import _parallel, build_parser, main
 from edgesense.config import (
     ConfigError,
     apply_overrides,
@@ -734,16 +733,12 @@ class TestCli:
                 blas[1](saved)
 
     def test_thread_count_resolution(self, monkeypatch):
-        ns = lambda p: argparse.Namespace(parallel=p)
-        monkeypatch.delenv("EDGESENSE_THREADS", raising=False)
-        assert _parallel(ns(None)) == 1
-        assert _parallel(ns(0)) == 1
-        assert _parallel(ns(6)) == 6
+        # --parallel is the one setting of the sweep workers; the environment is not read
         monkeypatch.setenv("EDGESENSE_THREADS", "3")
-        assert _parallel(ns(None)) == 3
-        assert _parallel(ns(2)) == 2
-        monkeypatch.setenv("EDGESENSE_THREADS", "abc")
-        assert _parallel(ns(None)) == 1
+        parse = lambda *flags: build_parser().parse_args(["sweep-gate", "--config", "c.json", *flags])
+        assert _parallel(parse()) == 1
+        assert _parallel(parse("--parallel", "0")) == 1
+        assert _parallel(parse("--parallel", "6")) == 6
 
     def test_json_output_format_rejected(self, tmp_path, capsys):
         # sweeps are written as CSV only, the one format fit reads back

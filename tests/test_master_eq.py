@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edgesense import master_eq
+from edgesense import config, master_eq
 from edgesense.config import parse_config
-from edgesense.experiments import sweep_decoherence, sweep_gate, write_sweep_csv
+from edgesense.experiments import _one_blas_thread, sweep_decoherence, sweep_gate, write_sweep_csv
 from edgesense.lattice import build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite
 from edgesense.master_eq import (
@@ -21,6 +21,7 @@ from edgesense.master_eq import (
     SolverError,
     SolverMethod,
     apply_liouvillian,
+    at_gate,
     build_superoperator,
     propagate,
     solve_steady_state,
@@ -749,23 +750,27 @@ class TestMirrorSector:
 
 class TestSharedSectors:
     def test_one_structure_per_sweep(self, monkeypatch, tmp_path):
-        calls = []
-        split = master_eq._mirror_split
+        # a sweep assembles one system and finds its blocks once, serial or pooled
+        calls = {"assemble": 0, "split": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return split(*args)
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
 
-        monkeypatch.setattr(master_eq, "_mirror_split", counted)
+            return call
+
+        monkeypatch.setattr(config, "assemble_composite", counted("assemble", assemble_composite))
+        monkeypatch.setattr(master_eq, "_mirror_split", counted("split", master_eq._mirror_split))
         fig4 = parse_config((CONFIGS / "fig4.json").read_text())
         sweep_decoherence(fig4, np.logspace(-3, 1, 5))
-        assert len(calls) == 1
+        assert calls == {"assemble": 1, "split": 1}
         fig1 = parse_config((CONFIGS / "fig1.json").read_text())
         gates = np.linspace(-0.3, 0.3, 7)
         for parallel in (1, 3):
-            calls.clear()
+            calls.update(assemble=0, split=0)
             table = sweep_gate(fig1, gates, parallel=parallel)
-            assert len(calls) == 1
+            assert calls == {"assemble": 1, "split": 1}
             assert table.extra_columns["converged"].all()
             write_sweep_csv(table, tmp_path / f"parallel{parallel}.csv")
         assert (tmp_path / "parallel1.csv").read_bytes() == (tmp_path / "parallel3.csv").read_bytes()
@@ -779,18 +784,38 @@ class TestSharedSectors:
         ],
     )
     def test_shared_rows_match_fresh_systems(self, fig, kappa, axis):
+        # each row's current is that of a freshly assembled system, to the bit;
+        # the fresh solves hold BLAS at one thread, as the sweep does
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         if fig == "fig1":
             table = sweep_gate(cfg, axis, kappa, parallel=2)
             kappa = cfg.decoherence if kappa is None else kappa
-            rows = [(cfg.build_system(gate=gate), kappa) for gate in axis]
+            rows = [(gate, kappa) for gate in axis]
         else:
             table = sweep_decoherence(cfg, axis, parallel=2)
-            rows = [(cfg.build_system(), k) for k in axis]
-        for (sys, k), shared in zip(rows, table.current):
-            rho, _ = solve_steady_state(sys, k)
-            fresh = current_profile(rho, sys).mean
-            assert abs(shared - fresh) <= 1e-10 * abs(fresh)
+            rows = [(None, k) for k in axis]
+        with _one_blas_thread():
+            for (gate, k), shared in zip(rows, table.current):
+                sys = cfg.build_system(gate=gate)
+                rho, _ = solve_steady_state(sys, k)
+                assert shared == current_profile(rho, sys).mean
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig3"])
+    def test_at_gate_matches_assembly(self, fig):
+        # a row derived from the assembled system holds the bytes a fresh
+        # assembly at its gate holds, and carries the one structure
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        base = cfg.build_system()
+        h_base = base.h_total.copy()
+        assert base._sectors is None
+        for gate in cfg.sweep.materialize():
+            row = at_gate(base, gate)
+            fresh = cfg.build_system(gate=gate)
+            assert row.h_total.tobytes() == fresh.h_total.tobytes()
+            assert row.lattice.hamiltonian.tobytes() == fresh.lattice.hamiltonian.tobytes()
+            assert row.lattice.gate_offset == fresh.lattice.gate_offset
+            assert row._sectors is base._sectors is not None
+        assert base.h_total.tobytes() == h_base.tobytes()
 
     def test_edit_in_place_is_refused(self):
         # the structure kept on sys is stale once h_total is edited in place;

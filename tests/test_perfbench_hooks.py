@@ -40,8 +40,18 @@ def test_traced_names_resolve_to_callables():
 def test_benchmark_call_shapes():
     # tracing._solve_attrs takes kappa from args[1] of a positional call
     assert list(inspect.signature(solve_steady_state).parameters)[1] == "kappa"
-    for sweep in (sweep_gate, sweep_decoherence):
-        assert "parallel" in inspect.signature(sweep).parameters, sweep.__name__
+    # perfbench's check_solve and floor_systems call cfg.build_system(gate=...)
+    assert "gate" in inspect.signature(RunConfig.build_system).parameters
+    # its workloads call sweep(cfg, values[, fixed]) and pass parallel by keyword
+    pos, kw = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    for sweep, values, fixed in (
+        (sweep_gate, "delta_values", "kappa"),
+        (sweep_decoherence, "kappa_values", "delta"),
+    ):
+        params = inspect.signature(sweep).parameters.values()
+        assert [(p.name, p.kind) for p in params] == [
+            ("cfg", pos), (values, pos), (fixed, pos), ("parallel", kw)
+        ], sweep.__name__
     assert SolverConfig().residual_tol > 0
     fields = {f.name for f in dataclasses.fields(SolveDiagnostics)}
     assert {"iterations", "residual", "warnings"} <= fields
