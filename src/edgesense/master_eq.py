@@ -39,7 +39,14 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   are found once per system and kept on it.  A sweep assembles one
   system and derives each row from it with ``at_gate``, which carries the
   blocks, so a solve pays for the eigendecomposition of each block, not
-  for finding the blocks.
+  for finding the blocks.  Each block's basis composes the two pair
+  bases and so has one nonzero per site row; it is kept as that row's
+  column and weight, and every product with it (the blocks themselves,
+  and Q_s V_s and V_s^-1 Q_s^dag in the solve) is a gather.  The dephasing
+  reduction stacks several lattice columns into one product per block
+  pair.  Its linear system takes each diagonal entry from probability
+  conservation, as the escape into the leads plus the dephasing out of
+  the site, which does not cancel at large kappa.
 * ``FullLinearSolve``: one SVD least-squares solve of the vectorized
   N^2 generator, gated to small N; where the generator is exactly
   singular it warns and returns the minimal-norm steady state, as the
@@ -70,6 +77,10 @@ DENOMINATOR_GUARD = 1e-12
 # permutation commuting with A, and the ring-odd block's steady state),
 # relative to the largest entry of A and at least 1.
 SECTOR_TOL = 1e-12
+# The dephasing map stacks the rows of several lattice columns into one
+# product, up to this many bytes per temporary: within glibc's default mmap
+# threshold, so each temporary comes from the heap rather than fresh pages.
+MAP_CHUNK_BYTES = 1 << 17
 
 
 class SolverMethod(str, enum.Enum):
@@ -273,40 +284,75 @@ def _commutes(perm: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return float(np.abs(x[np.ix_(perm, perm)] - x).max(initial=0.0)) <= tol
 
 
-def _pair_basis(perm: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _pair_basis(perm: np.ndarray, d: np.ndarray | None = None) -> tuple[tuple, tuple]:
     """Orthonormal bases of the +1 and -1 eigenspaces of the involution S x = d * x[perm].
 
     Each pair lo < hi = perm[lo] gives the column (|lo> + d_hi |hi>)/sqrt(2) to
-    the + basis and (|lo> - d_hi |hi>)/sqrt(2) to the - basis; each fixed point
-    i gives |i> to the basis of the sign of d_i.  Columns keep the order of lo
-    (or i).  The phases d (unit modulus, d_i d[perm[i]] = 1) default to 1,
-    which gives the real bases of the plain permutation.
+    the + basis, in the place of lo, and (|lo> - d_hi |hi>)/sqrt(2) to the -
+    basis, in the place of hi; each fixed point i gives |i> to the basis of
+    the sign of d_i.  The phases d (unit modulus, d_i d[perm[i]] = 1) default
+    to 1, which gives the real bases of the plain permutation.  A column has
+    at most two nonzeros, so each basis is returned as (rows, w) of shape
+    (2, columns): column k is w[0, k] |rows[0, k]> + w[1, k] |rows[1, k]>,
+    with w[1, k] = 0 at a fixed point.
     """
     d = np.ones(perm.size) if d is None else d
     idx = np.arange(perm.size)
-    lo = np.flatnonzero(perm > idx)
-    hi = perm[lo]
-    q = np.eye(perm.size, dtype=d.dtype)
-    q[lo, lo] = q[hi, lo] = q[lo, hi] = np.sqrt(0.5)
-    q[hi, hi] = -np.sqrt(0.5)
-    q[hi] *= d[hi, None]
-    odd = (perm < idx) | ((perm == idx) & (d.real < 0))
-    return q[:, ~odd], q[:, odd]
+    fixed = perm == idx
+    h = np.sqrt(0.5)
+    own = idx[(perm > idx) | (fixed & (d.real > 0))]
+    other = perm[own]
+    pair = other != own
+    even = np.stack([own, other]), np.stack([np.where(pair, h, 1.0), np.where(pair, h * d[other], 0.0)])
+    own = idx[(perm < idx) | (fixed & (d.real < 0))]
+    other = perm[own]
+    pair = other != own
+    odd = np.stack([own, other]), np.stack([np.where(pair, -h * d[own], 1.0), np.where(pair, h, 0.0)])
+    return even, odd
+
+
+def _row_map(basis: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col, w) with w[i] in column col[i] the one nonzero of row i of a ``_pair_basis`` basis.
+
+    A row the basis does not reach has w = 0 (and col = 0).
+    """
+    rows, w = basis
+    col = np.zeros(n, dtype=np.intp)
+    weight = np.zeros(n, dtype=w.dtype)
+    k = np.arange(rows.shape[1])
+    col[rows[1]], weight[rows[1]] = k, w[1]
+    # written last, so that a fixed point keeps its weight
+    col[rows[0]], weight[rows[0]] = k, w[0]
+    return col, weight
+
+
+def _project(x: np.ndarray, basis: tuple) -> np.ndarray:
+    """Q^dag x Q for a ``_pair_basis`` basis Q, by gathering two rows and two columns per column of Q."""
+    (r0, r1), (w0, w1) = basis
+    y = x[r0]
+    y *= w0.conj()[:, None]
+    y += x[r1] * w1.conj()[:, None]
+    z = y[:, r0]
+    z *= w0
+    z += y[:, r1] * w1
+    return z
 
 
 def _drop_ring_odd(
     sys: CompositeSystem, a: np.ndarray, half: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Basis left once the ring reflection drops its odd block, and that block's steady state.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Basis left once the ring reflection drops its odd block, A in that basis, and the block's steady state.
 
     The reflection r maps site m of each ring to M - m (mod M) and fixes the
     lattice; its odd modes vanish on the contact sites.  The odd block Q_o
-    is dropped, with steady state P_o target P_o (P_o = Q_o Q_o^T), when r
-    commutes with A, that state is stationary, A rho + rho A^dag = P_o drive
-    with P_o X = (X - X[r])/2 (which also rules out a drive between the odd
-    and even blocks), and every odd mode relaxes, so the odd block has one
-    steady state and no dark pair.  Otherwise the basis is the identity and
-    the steady state zero.
+    is dropped, with steady state P_o target P_o, when r commutes with A,
+    that state is stationary, A rho + rho A^dag = P_o drive (which also
+    rules out a drive between the odd and even blocks), and every odd mode
+    relaxes, so the odd block has one steady state and no dark pair.  The
+    projector P_o = Q_o Q_o^T acts as P_o X = (X - X[r])/2.  The basis q left
+    is returned as its row map (``_row_map``), with q^T A q.  Otherwise the
+    basis is the identity, A is returned as it is, and the steady state is
+    zero.
     """
     imap = sys.index_map
     n = imap.size
@@ -314,21 +360,29 @@ def _drop_ring_odd(
     for block in (imap.left, imap.right):
         m = r[block] - block.start
         r[block] = block.start + (-m) % m.size
-    q, q_o = _pair_basis(r)
-    rho_odd = q_o @ (q_o.T @ (sys.target @ q_o)) @ q_o.T
-    # A rho_odd + rho_odd A^dag - P_o drive; rho_odd is zero off the rings
+    # P_o target P_o, which lives on the rings' block: P_o fixes no lattice site
     rings = slice(imap.n_lattice, n)
-    x = a[:, rings] @ rho_odd[rings, rings]
-    stationary = 0.5 * (sys.drive[r] - sys.drive)
-    stationary[:, rings] += x
-    stationary[rings] += x.conj().T
+    r_rings = r[rings] - imap.n_lattice
+    odd_target = 0.5 * (sys.target[rings, rings] - sys.target[rings, rings][r_rings])
+    rho_rings = 0.5 * (odd_target - odd_target[:, r_rings])
+    # A rho_odd + rho_odd A^dag - P_o drive is zero outside the rings' rows
+    # and columns: its lattice rows there are x's, and its ring rows are
+    # stationary below, with P_o drive = 0 on the lattice rows
+    x = a[:, rings] @ rho_rings
+    stationary = 0.5 * (sys.drive[r[rings]] - sys.drive[rings])
+    stationary[:, rings] += x[rings]
+    stationary += x.conj().T
     if (
         _commutes(r, a, tol)
         and np.abs(stationary).max() <= tol
+        and np.abs(x[: imap.n_lattice]).max(initial=0.0) <= tol
         and half[r < np.arange(n)].min(initial=np.inf) > tol
     ):
-        return q, rho_odd
-    return np.eye(n), np.zeros((n, n), dtype=complex)
+        even, _ = _pair_basis(r)
+        rho_odd = np.zeros((n, n), dtype=complex)
+        rho_odd[rings, rings] = rho_rings
+        return _row_map(even, n), _project(a, even), rho_odd
+    return (np.arange(n), np.ones(n)), a, np.zeros((n, n), dtype=complex)
 
 
 def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None) -> np.ndarray:
@@ -374,29 +428,38 @@ def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None
 
 
 def _mirror_split(
-    imap: IndexMap, q: np.ndarray, a_q: np.ndarray, tol: float
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The mirror of q's columns and the blocks (Q_s, Q_s^dag A Q_s), given a_q = q^T A q.
+    imap: IndexMap, q: tuple[np.ndarray, np.ndarray], a_q: np.ndarray, tol: float
+) -> tuple[np.ndarray, list[tuple[tuple[np.ndarray, np.ndarray], np.ndarray]]]:
+    """The mirror of q's columns and the blocks (row map of Q_s, Q_s^dag A Q_s), given a_q = q^T A q.
 
+    q is a basis with one nonzero per row, given as its row map (col, w).
     The mirror maps lattice site i to n_lattice - 1 - i and left ring site
-    m to right ring site m, and q's columns onto each other as
-    s = argmax(q^T q[mirror], axis=0).  Where the rings have equal size and
-    a gauge d makes S x = d * x[s] commute with a_q (``_gauge``), q
-    splits into the + and - blocks of S (``_pair_basis``): d = 1 on the SSH
-    chains, and the Peierls phases of the rhombic chains need d != 1.
-    Otherwise the mirror is the identity and (q, a_q) the one block.  Only A
-    has to split, since the solve takes any source: mu, beta and the target
-    need not be mirror-symmetric.
+    m to right ring site m, and so q's columns onto each other: column k
+    goes to the column that holds the mirror image of any of its rows.
+    Where the rings have equal size and a gauge d makes S x = d * x[s]
+    commute with a_q (``_gauge``), q splits into the + and - blocks of S
+    (``_pair_basis``): d = 1 on the SSH chains, and the Peierls phases of
+    the rhombic chains need d != 1.  Q_s = q P_s keeps one nonzero per row,
+    which P_s's row map gives.  Otherwise the mirror is the identity and
+    (q, a_q) the one block.  Only A has to split, since the solve takes any
+    source: mu, beta and the target need not be mirror-symmetric.
     """
+    col, w = q
     if imap.n_left == imap.n_right:
         idx = np.arange(imap.size)
         mirror = np.concatenate([idx[imap.lattice][::-1], idx[imap.right], idx[imap.left]])
-        s = np.argmax(q.T @ q[mirror], axis=0)
+        row_of = np.empty(a_q.shape[0], dtype=np.intp)
+        row_of[col] = idx
+        s = col[mirror[row_of]]
         a_s = a_q[np.ix_(s, s)]
         d = _gauge(a_q, a_s, tol, s)
         if np.abs(d[:, None] * a_s * d.conj() - a_q).max() <= tol:
-            return s, [(q @ p, p.conj().T @ a_q @ p) for p in _pair_basis(s, d)]
-    return np.arange(q.shape[1]), [(q, a_q)]
+            blocks = []
+            for p in _pair_basis(s, d):
+                col_p, w_p = _row_map(p, s.size)
+                blocks.append(((col_p[col], w * w_p[col]), _project(a_q, p)))
+            return s, blocks
+    return np.arange(a_q.shape[0]), [(q, a_q)]
 
 
 def _chiral_fold(
@@ -414,19 +477,31 @@ def _chiral_fold(
     onto the - block, c conj(Q_+) = Q_-[:, p] diag(g) for a column
     permutation p and unit phases g, and the blocks are related as above.
     Both relations are checked on every entry, which checks c on the kept
-    blocks, where the solve needs it.  blocks holds (Q_s, Q_s^dag, B_s, ...)
-    of ``_Sectors``.
+    blocks, where the solve needs it.  blocks holds (col, w, B_s, ...) of
+    ``_Sectors``: row i of Q_s is w[i] in column col[i].  So row i of
+    c conj(Q_+) is c_i conj(w_+i) in column col_+i, Q_-^dag c conj(Q_+)
+    sums conj(w_-i) c_i conj(w_+i) into (col_-i, col_+i), and, p being a
+    permutation, row i of Q_-[:, p] diag(g) is w_-i g_k in the column k
+    with p_k = col_-i.
     """
     if len(blocks) != 2 or blocks[0][2].shape != blocks[1][2].shape:
         return None
     c = _gauge(a, a.conj(), tol)
-    (q_p, _, b_p, _), (q_m, qh_m, b_m, _) = blocks
-    cq = c[:, None] * q_p.conj()
-    w = qh_m @ cq
+    (col_p, w_p, b_p, _), (col_m, w_m, b_m, _) = blocks
+    cq = c * w_p.conj()
+    w = np.zeros(b_m.shape, dtype=complex)
+    np.add.at(w, (col_m, col_p), w_m.conj() * cq)
     p = np.argmax(np.abs(w), axis=0)
+    if np.bincount(p, minlength=p.size).max() != 1:
+        return None
     g = w[p, np.arange(p.size)]
+    k = np.empty_like(p)
+    k[p] = np.arange(p.size)
+    k = k[col_m]
+    lhs = w_m * g[k]
+    err = np.where(k == col_p, np.abs(lhs - cq), np.maximum(np.abs(lhs), np.abs(cq)))
     if (
-        np.abs(q_m[:, p] * g - cq).max() <= tol
+        err.max() <= tol
         and np.abs(b_m[np.ix_(p, p)] - g[:, None] * b_p.conj() * g.conj()).max() <= tol
     ):
         return p, g
@@ -450,33 +525,43 @@ class _Sectors:
     ``_mirror_split``) holds for every gate and kappa, and each block is
     Q_s^dag A Q_s = B_s + z p_s with B_s = Q_s^dag A_0 Q_s.  A_0 differs
     from A only by z on the lattice diagonal, where it is 0, so its
-    tolerance is no larger than that of any A.  ``blocks`` holds
-    (Q_s, Q_s^dag, B_s, the indices where p_s = 1), + block first,
-    ``block_sizes`` their sizes, ``lattice_mirror`` the mirror of the
-    lattice sites (the identity when A does not split) and ``chiral`` the
-    relation (p, g) between B_+ and B_- of ``_chiral_fold``, or None.  The
-    conjugation in that relation takes z to conj(z), so it carries over to
-    the blocks of A only where z is real: at gate 0.
+    tolerance is no larger than that of any A.  Each Q_s composes the two
+    pair bases, so it has one nonzero per site row, and it is kept as that
+    row map: row i holds w[i] in column col[i] (w[i] = 0 where the block
+    does not reach site i).  B_s, q^T A q, rho_odd and the mirror of q's
+    columns are found by gathering rows and columns, without an N x N
+    product.  ``blocks`` holds (col, w, B_s, the indices where p_s = 1),
+    + block first, ``block_sizes`` their sizes, ``lattice_mirror`` the
+    mirror of the lattice sites (the identity when A does not split),
+    ``chiral`` the relation (p, g) between B_+ and B_- of ``_chiral_fold``,
+    or None, and ``contacts`` the bonds between the lattice and the leads as
+    (lattice sites c, lead sites r, h_total[c, r]).  The conjugation in the
+    chiral relation takes z to conj(z), so it carries over to the blocks of
+    A only where z is real: at gate 0.
     """
 
     def __init__(self, sys: CompositeSystem):
         imap = sys.index_map
         half = _half_rates(sys, 0.0)
-        gate = np.diag(sys.lattice.gate_offset * sys.lattice_mask)
-        a = 1j * (sys.h_total - gate) + np.diag(half)
+        a = 1j * sys.h_total
+        a.flat[:: sys.size + 1] += half - 1j * (sys.lattice.gate_offset * sys.lattice_mask)
         tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
 
-        q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
-        mirror, blocks = _mirror_split(imap, q, q.T @ a @ q, tol)
+        q, a_q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
+        mirror, blocks = _mirror_split(imap, q, a_q, tol)
         # q's first n_lattice columns are the lattice sites
         self.lattice_mirror = mirror[: imap.n_lattice]
         self.blocks = []
-        for q_s, b_s in blocks:
-            q_s = q_s.astype(complex)
-            on_lattice = np.flatnonzero(np.abs(q_s[imap.lattice]).max(axis=0) > 0)
-            self.blocks.append((q_s, np.ascontiguousarray(q_s.conj().T), b_s, on_lattice))
+        for (col, w), b_s in blocks:
+            w = w.astype(complex)
+            on_lattice = np.unique(col[imap.lattice][w[imap.lattice] != 0])
+            self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
         self.chiral = _chiral_fold(a, self.blocks, tol)
+        latt = np.flatnonzero(sys.lattice_mask)
+        leads = np.flatnonzero(~sys.lattice_mask)
+        c, r = np.nonzero(sys.h_total[np.ix_(latt, leads)])
+        self.contacts = latt[c], leads[r], sys.h_total[latt[c], leads[r]]
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -522,13 +607,19 @@ class _SylvesterFactorization:
     act in the site basis, so ``solve(source)`` returns the kept blocks'
     solution of A X + X A^dag = S as v ((vinv S vinv^dag) / D) v^dag with
     D_ab = lam_a + conj(lam_b); the source need not respect either symmetry.
-    Pairs with |D| below the guard correspond to conserved (dark) sectors;
-    their components are projected out, which selects the minimal-norm
-    steady state.  ``solve`` is ``back(rotate(source))``, and a source that
-    is nonzero on a few sites (the drive, on the rings) is rotated over
-    those alone; ``lattice_diagonal`` reads the lattice diagonal of a
-    solution from v's lattice rows, and ``dephasing_map`` is the
-    lattice-diagonal part of ``solve``.
+    Q_s has one nonzero per row (its row map in ``_Sectors``), so Q_s V_s is
+    a row gather of V_s times a weight per row and V_s^-1 Q_s^dag a column
+    gather, each written straight into v and vinv.  Pairs with |D| below the
+    guard correspond to conserved (dark) sectors; their components are
+    projected out, which selects the minimal-norm steady state.  Since
+    |D_ab| >= Re lam_a + Re lam_b, no pair can be dark where 2 min Re lam
+    clears the guard, and there 1/D is taken without looking for them.
+    ``solve`` is ``back(rotate(source))``, and a source that is nonzero on a
+    few sites (the drive, on the rings) is rotated over those alone;
+    ``lattice_diagonal`` reads the lattice diagonal of a solution from v's
+    lattice rows, ``dephasing_map`` is the lattice-diagonal part of
+    ``solve``, with each unit source's escape into the leads, and
+    ``lattice_system`` the matrix of the dephasing self-consistency.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
@@ -536,10 +627,14 @@ class _SylvesterFactorization:
         self.rho_odd = sectors.rho_odd
         self.lattice_mirror = sectors.lattice_mirror
         self.block_sizes = sectors.block_sizes
+        self.contacts = sectors.contacts
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
         self.folded = sectors.chiral is not None and z.imag == 0
-        lams, vs, vinvs, eig_blocks = [], [], [], []
-        for q_s, qh_s, b_s, lat_s in sectors.blocks:
+        size = sum(self.block_sizes)
+        self.v = np.empty((sys.size, size), dtype=complex)
+        self.vinv = np.empty((size, sys.size), dtype=complex)
+        lams, eig_blocks, start = [], [], 0
+        for col_s, w_s, b_s, lat_s in sectors.blocks:
             if self.folded and lams:
                 p, g = sectors.chiral
                 lam, v_c, vinv_c = lam.conj(), v.conj(), vinv.conj()
@@ -553,18 +648,22 @@ class _SylvesterFactorization:
                 vinv = np.linalg.inv(v)
                 eig_blocks.append(lam.size)
             lams.append(lam)
-            vs.append(q_s @ v)
-            vinvs.append(vinv @ qh_s)
+            cols = slice(start, start + lam.size)
+            start += lam.size
+            np.multiply(w_s[:, None], v[col_s], out=self.v[:, cols])
+            np.multiply(vinv[:, col_s], w_s.conj(), out=self.vinv[cols])
         self.eig_blocks = tuple(eig_blocks)
         self.lam = lam = np.concatenate(lams)
-        self.v = np.hstack(vs)
-        self.vinv = np.vstack(vinvs)
-        denom = lam[:, None] + lam[None, :].conj()
+        inv = np.add.outer(lam, lam.conj())
         guard = DENOMINATOR_GUARD * max(1.0, float(np.abs(lam).max()))
-        self.dark_pairs = np.abs(denom) < guard
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / denom
-        inv[self.dark_pairs] = 0.0
+        if 2.0 * lam.real.min() >= guard:
+            self.dark_pairs = np.zeros(inv.shape, dtype=bool)
+            np.divide(1.0, inv, out=inv)
+        else:
+            self.dark_pairs = np.abs(inv) < guard
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(1.0, inv, out=inv)
+            inv[self.dark_pairs] = 0.0
         self.inv_denom = inv
 
     def rotate(self, source: np.ndarray) -> np.ndarray:
@@ -586,8 +685,8 @@ class _SylvesterFactorization:
         v = self.v[latt]
         return _re_row_dot(v @ (t * self.inv_denom), v)
 
-    def dephasing_map(self, latt: np.ndarray) -> np.ndarray:
-        """Real M with M[i, j] = Re solve(|latt_j><latt_j|)[latt_i, latt_i].
+    def dephasing_map(self, latt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real M with M[i, j] = Re X_j[latt_i, latt_i], and each X_j's escape e_j, for X_j = solve(|latt_j><latt_j|).
 
         Column j is Re diag(v Y_j v^dag) over the lattice rows, with
         Y_j = (u_j u_j^dag) * inv_denom and u_j = vinv[:, latt_j], taken row by
@@ -601,26 +700,73 @@ class _SylvesterFactorization:
         the mirror is the identity and there is no - block, so X = 0.  Folded
         by C, the - block is the conjugate of the + block, whose (-, -) term
         is the complex conjugate of its (+, +) term: E is twice the latter.
+        The columns j are taken in chunks: the rows w of every j in a chunk are
+        stacked, so each block pair costs one product per chunk, and a chunk
+        holds as many columns as keep each temporary within MAP_CHUNK_BYTES.
+        The escape e_j = -sum 2 Im(h_cr conj(X_j[c, r])) over the bonds from
+        lattice site c to lead site r (``_Sectors.contacts``) is the current
+        X_j sends into the leads.  Its sum over the bonds is one quadratic form
+        in u_j, 2 Im u_j^T G conj(u_j), so one product with G gives it for the
+        whole half; e_Sj = e_j.
         """
         nl = latt.size
         mir = self.lattice_mirror
         half = np.flatnonzero(mir >= np.arange(nl))
-        e, o = slice(0, self.block_sizes[0]), slice(self.block_sizes[0], None)
+        n_e = self.block_sizes[0]
+        e, o = slice(0, n_e), slice(n_e, None)
         v = self.v[latt[half]]
-        v_e, v_o = v[:, e], v[:, o]
+        v_e, v_o = np.ascontiguousarray(v[:, e]), np.ascontiguousarray(v[:, o])
         inv_ee, inv_oo, inv_eo = (
             np.ascontiguousarray(self.inv_denom[x, y]) for x, y in ((e, e), (o, o), (e, o))
         )
-        u = self.vinv[:, latt]
-        m = np.empty((nl, nl))
-        for j in half:
-            w_e, w_o = v_e * u[e, j], v_o * u[o, j]
+        # row j of u is u_j for the j-th site of the half
+        u = self.vinv[:, latt[half]].T
+        u_e, u_o = np.ascontiguousarray(u[:, e]), np.ascontiguousarray(u[:, o])
+        plus, minus = np.empty((2, half.size, half.size))
+        step = max(1, MAP_CHUNK_BYTES // (16 * half.size * n_e))
+        for start in range(0, half.size, step):
+            cols = slice(start, start + step)
+            # rows (j, i) for j in the chunk and i in the half
+            w_e = (v_e * u_e[cols, None]).reshape(-1, n_e)
+            w_o = (v_o * u_o[cols, None]).reshape(w_e.shape[0], -1)
             same = _re_row_dot(w_e @ inv_ee, w_e)
             same = 2.0 * same if self.folded else same + _re_row_dot(w_o @ inv_oo, w_o)
             cross = 2.0 * _re_row_dot(w_e @ inv_eo, w_o)
-            m[half, j] = m[mir[half], mir[j]] = same + cross
-            m[mir[half], j] = m[half, mir[j]] = same - cross
-        return m
+            plus[:, cols] = (same + cross).reshape(-1, half.size).T
+            minus[:, cols] = (same - cross).reshape(-1, half.size).T
+        m = np.empty((nl, nl))
+        m[np.ix_(half, half)] = m[np.ix_(mir[half], mir[half])] = plus
+        m[np.ix_(mir[half], half)] = m[np.ix_(half, mir[half])] = minus
+        # sum_b conj(h_b) X_j[c_b, r_b] = u_j^T G conj(u_j) with
+        # G = inv_denom * sum_b conj(h_b) v[c_b]^T conj(v[r_b])
+        c, r, h_cr = self.contacts
+        g = (self.v[c].T * h_cr.conj()) @ self.v[r].conj()
+        g *= self.inv_denom
+        escape = np.empty(nl)
+        escape[half] = escape[mir[half]] = 2.0 * np.einsum("ja,ja->j", u @ g, u.conj()).imag
+        return m, escape
+
+    def lattice_system(self, latt: np.ndarray, kappa: float) -> np.ndarray:
+        """I - kappa M, the matrix of the lattice diagonal's self-consistency (I - kappa M) d = d0.
+
+        Probability is conserved: tr(A X_j + X_j A^dag) = tr |latt_j><latt_j|
+        gives 1 - kappa sum_i M_ij = e_j, the escape of ``dephasing_map``.
+        So each diagonal entry is set to e_j + kappa sum_{i != j} M_ij, a sum
+        of non-negative terms, instead of 1 - kappa M_jj, which cancels as
+        kappa M_jj -> 1 at large kappa (the Grassmann-Taksar-Heyman device
+        for Markov chains).  Without a contact bond (epsilon = 0) nothing
+        escapes, the columns sum to zero and the steady state is not unique
+        (``solve_steady_state`` warns); there the diagonal stays
+        1 - kappa M_jj, whose rounding leaves the matrix invertible.
+        """
+        m, escape = self.dephasing_map(latt)
+        k = -kappa * m
+        if self.contacts[0].size == 0:
+            k[np.diag_indices(latt.size)] += 1.0
+            return k
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(k, escape - k.sum(axis=0))
+        return k
 
 
 def _solve_sylvester(
@@ -644,12 +790,11 @@ def _solve_sylvester(
         # point iteration that stalls once kappa exceeds the escape rates.
         # The source drive + kappa diag(d) is rotated as two terms, the
         # drive's read for d0 on the lattice rows alone.
-        latt = np.where(sys.lattice_mask)[0]
-        nl = latt.size
-        m = fact.dephasing_map(latt)
-        solves += nl
+        latt = np.flatnonzero(sys.lattice_mask)
+        k = fact.lattice_system(latt, kappa)
+        solves += latt.size
         d0 = fact.lattice_diagonal(t, latt)
-        d = np.linalg.solve(np.eye(nl) - kappa * m, d0)
+        d = np.linalg.solve(k, d0)
         u = fact.vinv[:, latt]
         t = t + (u * (kappa * d)) @ u.conj().T
         solves += 1

@@ -1,9 +1,13 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from edgesense.config import parse_config
+from edgesense.lattice import build_custom
+from edgesense.leads import RingLead, assemble_composite
 from edgesense.master_eq import DegenerateSteadyStateWarning, solve_steady_state
 from edgesense.observables import (
     bond_current,
@@ -14,6 +18,8 @@ from edgesense.observables import (
 )
 
 from conftest import make_ssh_system
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestBondCurrent:
@@ -62,12 +68,42 @@ class TestCurrentProfile:
         assert_allclose(prof.currents[0], prof.currents[-1], rtol=1e-8)
 
     def test_disconnected_device_is_currentless(self):
+        # nothing escapes a closed lattice, so its dephasing self-consistency
+        # is singular but for rounding, at small and large kappa alike
         sys = make_ssh_system(epsilon=0.0)
-        with pytest.warns(DegenerateSteadyStateWarning):
-            rho, _ = solve_steady_state(sys, 0.01)
+        for kappa in (0.01, 1.0, 100.0):
+            with pytest.warns(DegenerateSteadyStateWarning):
+                rho, _ = solve_steady_state(sys, kappa)
+            prof = current_profile(rho, sys)
+            assert abs(prof.mean) < 1e-12
+            assert np.abs(prof.currents).max() < 1e-12
+
+    @pytest.mark.parametrize("fig, kappa", [("fig1", 0.0), ("fig2", 1e-3), ("fig3", 1e-3), ("fig4", 1.0)])
+    def test_matches_a_loop_over_bonds(self, fig, kappa):
+        # the gathered profile against bond_current summed cut by cut, to the bit
+        sys = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system()
+        rho, _ = solve_steady_state(sys, kappa)
+        imap = sys.index_map
+        loop = [bond_current(rho, sys, 0, imap.left.start)]
+        loop += [sum(bond_current(rho, sys, b, a) for a, b in cut.bonds) for cut in sys.lattice.cuts]
+        loop.append(bond_current(rho, sys, imap.right.start, imap.n_lattice - 1))
         prof = current_profile(rho, sys)
-        assert abs(prof.mean) < 1e-12
-        assert np.abs(prof.currents).max() < 1e-12
+        assert prof.currents.tobytes() == np.asarray(loop).tobytes()
+        assert prof.cut_labels[1:-1] == tuple(cut.label for cut in sys.lattice.cuts)
+
+    def test_cuts_of_many_bonds(self):
+        # next-nearest hoppings put three bonds through each inner cut, which
+        # np.add.reduceat may sum in another order than the loop
+        n = 6
+        hop = -0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)) - 0.2 * (np.eye(n, k=2) + np.eye(n, k=-2))
+        leads = RingLead(size=6, mu=0.3, beta=5.0), RingLead(size=6, mu=-0.1, beta=5.0)
+        sys = assemble_composite(build_custom(hop), *leads, 0.2)
+        rho, _ = solve_steady_state(sys, 0.01)
+        assert max(len(cut.bonds) for cut in sys.lattice.cuts) == 3
+        loop = [sum(bond_current(rho, sys, b, a) for a, b in cut.bonds) for cut in sys.lattice.cuts]
+        prof = current_profile(rho, sys)
+        assert_allclose(prof.currents[1:-1], loop, rtol=1e-14, atol=0)
+        assert prof.max_deviation <= 1e-9 * abs(prof.mean)
 
 
 class TestPopulations:
