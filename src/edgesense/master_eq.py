@@ -326,16 +326,21 @@ def _row_map(basis: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return col, weight
 
 
+def _pair_rows(x: np.ndarray, basis: tuple, conj: bool) -> np.ndarray:
+    """Q^T x for a ``_pair_basis`` basis Q (Q^dag x if conj), gathering two rows of x per column of Q."""
+    rows, w = basis
+    w = w.conj() if conj else w
+    y = x[rows[0]]
+    y *= w[0, :, None]
+    other = x[rows[1]]
+    other *= w[1, :, None]
+    y += other
+    return y
+
+
 def _project(x: np.ndarray, basis: tuple) -> np.ndarray:
-    """Q^dag x Q for a ``_pair_basis`` basis Q, by gathering two rows and two columns per column of Q."""
-    (r0, r1), (w0, w1) = basis
-    y = x[r0]
-    y *= w0.conj()[:, None]
-    y += x[r1] * w1.conj()[:, None]
-    z = y[:, r0]
-    z *= w0
-    z += y[:, r1] * w1
-    return z
+    """Q^dag x Q for a ``_pair_basis`` basis Q, by two gathers instead of two products."""
+    return _pair_rows(_pair_rows(x, basis, conj=True).T, basis, conj=False).T
 
 
 def _drop_ring_odd(
@@ -360,22 +365,14 @@ def _drop_ring_odd(
     for block in (imap.left, imap.right):
         m = r[block] - block.start
         r[block] = block.start + (-m) % m.size
-    # P_o target P_o, which lives on the rings' block: P_o fixes no lattice site
+    # P_o target P_o lives on the rings' block: P_o vanishes on the lattice
     rings = slice(imap.n_lattice, n)
     r_rings = r[rings] - imap.n_lattice
     odd_target = 0.5 * (sys.target[rings, rings] - sys.target[rings, rings][r_rings])
     rho_rings = 0.5 * (odd_target - odd_target[:, r_rings])
-    # A rho_odd + rho_odd A^dag - P_o drive is zero outside the rings' rows
-    # and columns: its lattice rows there are x's, and its ring rows are
-    # stationary below, with P_o drive = 0 on the lattice rows
-    x = a[:, rings] @ rho_rings
-    stationary = 0.5 * (sys.drive[r[rings]] - sys.drive[rings])
-    stationary[:, rings] += x[rings]
-    stationary += x.conj().T
     if (
         _commutes(r, a, tol)
-        and np.abs(stationary).max() <= tol
-        and np.abs(x[: imap.n_lattice]).max(initial=0.0) <= tol
+        and _stationary(sys, a, rho_rings, r, tol)
         and half[r < np.arange(n)].min(initial=np.inf) > tol
     ):
         even, _ = _pair_basis(r)
@@ -383,6 +380,23 @@ def _drop_ring_odd(
         rho_odd[rings, rings] = rho_rings
         return _row_map(even, n), _project(a, even), rho_odd
     return (np.arange(n), np.ones(n)), a, np.zeros((n, n), dtype=complex)
+
+
+def _stationary(
+    sys: CompositeSystem, a: np.ndarray, rho_rings: np.ndarray, r: np.ndarray, tol: float
+) -> bool:
+    """Whether rho_odd, which is rho_rings on the rings' block, has A rho + rho A^dag = P_o drive to tol.
+
+    Both sides vanish outside the rings' rows and columns (P_o drive on the
+    lattice rows), so they are compared there: the lattice rows of the
+    rings' columns, and the rings' rows.
+    """
+    rings = slice(sys.index_map.n_lattice, sys.size)
+    x = a[:, rings] @ rho_rings
+    ring_rows = 0.5 * (sys.drive[r[rings]] - sys.drive[rings])
+    ring_rows[:, rings] += x[rings]
+    ring_rows += x.conj().T
+    return max(np.abs(ring_rows).max(), np.abs(x[: rings.start]).max(initial=0.0)) <= tol
 
 
 def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None) -> np.ndarray:
@@ -796,11 +810,12 @@ def _solve_sylvester(
         d0 = fact.lattice_diagonal(t, latt)
         d = np.linalg.solve(k, d0)
         u = fact.vinv[:, latt]
-        t = t + (u * (kappa * d)) @ u.conj().T
+        t += (u * (kappa * d)) @ u.conj().T
         solves += 1
     rho = fact.back(t)
-    rho = rho + fact.rho_odd
-    rho = 0.5 * (rho + rho.conj().T)
+    rho += fact.rho_odd
+    rho += rho.conj().T
+    rho *= 0.5
     return rho, solves, _residual(sys, rho, kappa), notes, fact.eig_blocks
 
 
