@@ -568,7 +568,8 @@ class _Sectors:
         self.blocks = []
         for (col, w), b_s in blocks:
             w = w.astype(complex)
-            on_lattice = np.unique(col[imap.lattice][w[imap.lattice] != 0])
+            reached = col[imap.lattice][w[imap.lattice] != 0]
+            on_lattice = np.flatnonzero(np.bincount(reached, minlength=b_s.shape[0]))
             self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
         self.chiral = _chiral_fold(a, self.blocks, tol)

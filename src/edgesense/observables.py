@@ -49,16 +49,17 @@ def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProf
     imap = sys.index_map
     lattice = sys.lattice
     first, last = 0, imap.n_lattice - 1
-    # (m, n) with the current flowing from n into m, the contacts as one-bond cuts
-    cuts = [((first, imap.left.start),)]
-    cuts += [tuple((b, a) for a, b in cut.bonds) for cut in lattice.cuts]
-    cuts.append(((imap.right.start, last),))
-    m, n = np.array([bond for cut in cuts for bond in cut]).T
+    # the current flows from n into m: the left contact, each cut's bonds
+    # (left site, right site), the right contact, and each a cut of its own
+    bonds = np.array([bond for cut in lattice.cuts for bond in cut.bonds], dtype=np.intp)
+    left, right = bonds.reshape(-1, 2).T
+    m = np.concatenate(([first], right, [imap.right.start]))
+    n = np.concatenate(([imap.left.start], left, [last]))
     h, x = sys.h_total[m, n], mat[n, m]
     # 2 Im(h x), spelled out: numpy's complex product on arrays may fuse a
     # multiply-add that its product of two scalars does not
     j = 2.0 * (h.real * x.imag + h.imag * x.real)
-    starts = np.cumsum([0] + [len(cut) for cut in cuts[:-1]])
+    starts = np.cumsum([0, 1] + [len(cut.bonds) for cut in lattice.cuts])
     currents = np.add.reduceat(j, starts)
 
     labels = (
