@@ -303,11 +303,13 @@ def _pair_basis(perm: np.ndarray, d: np.ndarray | None = None) -> tuple[tuple, t
     own = idx[(perm > idx) | (fixed & (d.real > 0))]
     other = perm[own]
     pair = other != own
-    even = np.stack([own, other]), np.stack([np.where(pair, h, 1.0), np.where(pair, h * d[other], 0.0)])
+    w = np.where(pair, h, 1.0), np.where(pair, h * d[other], 0.0)
+    even = np.stack([own, other]), np.stack(w)
     own = idx[(perm < idx) | (fixed & (d.real < 0))]
     other = perm[own]
     pair = other != own
-    odd = np.stack([own, other]), np.stack([np.where(pair, -h * d[own], 1.0), np.where(pair, h, 0.0)])
+    w = np.where(pair, -h * d[own], 1.0), np.where(pair, h, 0.0)
+    odd = np.stack([own, other]), np.stack(w)
     return even, odd
 
 
@@ -701,7 +703,7 @@ class _SylvesterFactorization:
         return _re_row_dot(v @ (t * self.inv_denom), v)
 
     def dephasing_map(self, latt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real M with M[i, j] = Re X_j[latt_i, latt_i], and each X_j's escape e_j, for X_j = solve(|latt_j><latt_j|).
+        """(M, e): M[i, j] = Re X_j[latt_i, latt_i] and e_j the escape of X_j = solve(|latt_j><latt_j|).
 
         Column j is Re diag(v Y_j v^dag) over the lattice rows, with
         Y_j = (u_j u_j^dag) * inv_denom and u_j = vinv[:, latt_j], taken row by
