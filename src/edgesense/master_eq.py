@@ -575,10 +575,10 @@ class _Sectors:
             self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
         self.chiral = _chiral_fold(a, self.blocks, tol)
-        latt = np.flatnonzero(sys.lattice_mask)
-        leads = np.flatnonzero(~sys.lattice_mask)
-        c, r = np.nonzero(sys.h_total[np.ix_(latt, leads)])
-        self.contacts = latt[c], leads[r], sys.h_total[latt[c], leads[r]]
+        # the lead sites follow the lattice sites
+        c, r = np.nonzero(sys.h_total[imap.lattice, imap.n_lattice :])
+        r += imap.n_lattice
+        self.contacts = c, r, sys.h_total[c, r]
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -628,9 +628,7 @@ class _SylvesterFactorization:
     a row gather of V_s times a weight per row and V_s^-1 Q_s^dag a column
     gather, each written straight into v and vinv.  Pairs with |D| below the
     guard correspond to conserved (dark) sectors; their components are
-    projected out, which selects the minimal-norm steady state.  Since
-    |D_ab| >= Re lam_a + Re lam_b, no pair can be dark where 2 min Re lam
-    clears the guard, and there 1/D is taken without looking for them.
+    projected out, which selects the minimal-norm steady state.
     ``solve`` is ``back(rotate(source))``, and a source that is nonzero on a
     few sites (the drive, on the rings) is rotated over those alone;
     ``lattice_diagonal`` reads the lattice diagonal of a solution from v's
@@ -673,14 +671,10 @@ class _SylvesterFactorization:
         self.lam = lam = np.concatenate(lams)
         inv = np.add.outer(lam, lam.conj())
         guard = DENOMINATOR_GUARD * max(1.0, float(np.abs(lam).max()))
-        if 2.0 * lam.real.min() >= guard:
-            self.dark_pairs = np.zeros(inv.shape, dtype=bool)
+        self.dark_pairs = np.abs(inv) < guard
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(1.0, inv, out=inv)
-        else:
-            self.dark_pairs = np.abs(inv) < guard
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(1.0, inv, out=inv)
-            inv[self.dark_pairs] = 0.0
+        inv[self.dark_pairs] = 0.0
         self.inv_denom = inv
 
     def rotate(self, source: np.ndarray) -> np.ndarray:

@@ -24,28 +24,32 @@ class CurrentProfile:
     max_deviation: float
 
 
-def bond_current(rho: SPDM | np.ndarray, sys: CompositeSystem, m: int, n: int) -> float:
+def bond_current(rho: SPDM | np.ndarray, sys: CompositeSystem, m, n):
     """Particle current flowing from site n into site m.
 
     j = 2 Im(H[m, n] rho[n, m]); with (n, m) ordered left to right a
     positive value means flow from the left lead toward the right one.
     Derived from continuity: d rho_mm/dt under the commutator alone equals
-    the sum of bond currents into m.
+    the sum of bond currents into m.  Given two sites it returns a float;
+    given index arrays m and n of one shape, the array of the currents of
+    the bonds (m[k], n[k]), each to the bit as it comes one bond at a time.
     """
     mat = _as_matrix(rho)
-    return float(2.0 * np.imag(sys.h_total[m, n] * mat[n, m]))
+    h, x = sys.h_total[m, n], mat[n, m]
+    # 2 Im(h x), spelled out: numpy's complex product on arrays may fuse a
+    # multiply-add that its product of two scalars does not
+    j = 2.0 * (h.real * x.imag + h.imag * x.real)
+    return float(j) if np.ndim(j) == 0 else j
 
 
 def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProfile:
     """Currents through the two contacts and every internal cut of the device.
 
-    Every bond current is taken in one gather, to the bit as
-    ``bond_current`` takes it one bond at a time, and ``np.add.reduceat``
-    sums each cut's bonds.  For the one or two bonds per cut of the SSH and
-    rhombic chains that is the order of a loop over the bonds; a longer cut
-    may differ from it in the last digit.
+    Every bond current is taken in one call of ``bond_current`` over index
+    arrays, and ``np.add.reduceat`` sums each cut's bonds.  For the one or
+    two bonds per cut of the SSH and rhombic chains that is the order of a
+    loop over the bonds; a longer cut may differ from it in the last digit.
     """
-    mat = _as_matrix(rho)
     imap = sys.index_map
     lattice = sys.lattice
     first, last = 0, imap.n_lattice - 1
@@ -55,10 +59,7 @@ def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProf
     left, right = bonds.reshape(-1, 2).T
     m = np.concatenate(([first], right, [imap.right.start]))
     n = np.concatenate(([imap.left.start], left, [last]))
-    h, x = sys.h_total[m, n], mat[n, m]
-    # 2 Im(h x), spelled out: numpy's complex product on arrays may fuse a
-    # multiply-add that its product of two scalars does not
-    j = 2.0 * (h.real * x.imag + h.imag * x.real)
+    j = bond_current(rho, sys, m, n)
     starts = np.cumsum([0, 1] + [len(cut.bonds) for cut in lattice.cuts])
     currents = np.add.reduceat(j, starts)
 

@@ -47,6 +47,18 @@ class TestBondCurrent:
             inflow = sum(bond_current(rho, sys, p, n) for n in range(12) if n != p)
             assert_allclose(inflow, comm[p, p].real, atol=1e-12)
 
+    def test_index_arrays_match_single_bonds(self):
+        # over index arrays, each bond's current to the bit as it comes alone
+        sys = make_ssh_system(length=4, ring=4)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho = 0.5 * (a + a.conj().T)
+        m, n = np.nonzero(sys.h_total)
+        j = bond_current(rho, sys, m, n)
+        single = [bond_current(rho, sys, int(p), int(q)) for p, q in zip(m, n)]
+        assert j.shape == m.shape
+        assert j.tobytes() == np.asarray(single).tobytes()
+
     def test_steady_state_interior_continuity(self):
         sys = make_ssh_system()
         rho, _ = solve_steady_state(sys, 0.004)
