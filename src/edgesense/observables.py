@@ -24,7 +24,9 @@ class CurrentProfile:
     max_deviation: float
 
 
-def bond_current(rho: SPDM | np.ndarray, sys: CompositeSystem, m, n):
+def bond_current(
+    rho: SPDM | np.ndarray, sys: CompositeSystem, m: int | np.ndarray, n: int | np.ndarray
+) -> float | np.ndarray:
     """Particle current flowing from site n into site m.
 
     j = 2 Im(H[m, n] rho[n, m]); with (n, m) ordered left to right a
