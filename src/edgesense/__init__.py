@@ -18,7 +18,6 @@ from .master_eq import (
     SolverError,
     SolverMethod,
     apply_liouvillian,
-    propagate,
     solve_steady_state,
 )
 from .observables import (

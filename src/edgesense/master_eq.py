@@ -12,10 +12,12 @@ kappa/2 on lattice indices): the first two terms are -(A rho + rho A^dag)
 with the generator A = iH + Delta.  Two steady-state routes are provided:
 
 * ``SylvesterIteration`` (default): one eigendecomposition of
-  A = iH + Delta turns every solve of A rho + rho A^dag = S into two
-  basis rotations.  The dephasing back-feed only couples to the lattice
-  diagonal, so its fixed point is pinned down exactly by one small
-  linear solve over that diagonal.  A is eigendecomposed one symmetry
+  A = iH + Delta turns every solve of A X + X A^dag = S into two basis
+  rotations.  The dephasing back-feed only couples to the lattice
+  diagonal, so L(kappa) X = -S is affine in that diagonal and one small
+  linear solve over it pins X down exactly.  That one solve,
+  ``_SylvesterFactorization.apply``, takes any Hermitian source S: the
+  steady state is it applied to the drive.  A is eigendecomposed one symmetry
   block at a time, by one rule: an involution S that permutes the sites,
   up to a phase per site, and commutes with A splits it into S's +1 and
   -1 blocks.  The ring reflection m <-> M - m drops its odd block, whose
@@ -55,8 +57,6 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
 Each solve reports the residual of the equation of motion, taken over
 the bonds of A as h_total holds them at that call: it keeps nothing on
 the system, so it checks the reused blocks rather than trusting them.
-``propagate`` integrates the same equation over a finite time, for the
-transient.
 """
 
 from __future__ import annotations
@@ -205,78 +205,6 @@ def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float
 
 def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float) -> float:
     return float(np.abs(apply_liouvillian(sys, m, kappa)).max()) / _residual_scale(sys)
-
-
-# Cash-Karp embedded Runge-Kutta 5(4) tableau
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def propagate(
-    sys: CompositeSystem,
-    rho0: SPDM,
-    kappa: float,
-    t_final: float,
-    *,
-    dt: float = 0.05,
-    step_tol: float = 1e-10,
-    max_iters: int = 2_000_000,
-) -> SPDM:
-    """Propagate rho0 forward by t_final with an adaptive embedded RK5(4).
-
-    dt is the first step, step_tol the local truncation error allowed per
-    step (relative to max(1, |rho|_inf)) and max_iters the cap on accepted
-    plus rejected steps.  Hermiticity is restored after every accepted
-    step.  Raises SolverError on step underflow or once max_iters step
-    attempts are exhausted.
-    """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    if dt <= 0 or step_tol <= 0 or max_iters < 1:
-        raise ValueError("dt, step_tol and max_iters must be positive")
-    m = _as_matrix(rho0).astype(complex).copy()
-    if t_final == 0:
-        return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time)
-
-    rhs = _liouvillian(sys, kappa)
-    t = 0.0
-    dt = min(dt, t_final)
-    dt_floor = 1e-13 * max(1.0, t_final)
-    attempts = 0
-    while t < t_final:
-        dt = min(dt, t_final - t)
-        k = []
-        for row in _CK_A:
-            stage = m
-            if row:
-                stage = m + dt * sum(a * ki for a, ki in zip(row, k))
-            k.append(rhs(stage))
-        m5 = m + dt * sum(b * ki for b, ki in zip(_CK_B5, k))
-        m4 = m + dt * sum(b * ki for b, ki in zip(_CK_B4, k))
-        err = float(np.abs(m5 - m4).max())
-        tol = step_tol * max(1.0, float(np.abs(m).max()))
-        if err <= tol:
-            m = 0.5 * (m5 + m5.conj().T)
-            t += dt
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
-        dt *= min(5.0, max(0.2, factor))
-        if dt < dt_floor:
-            raise SolverError(
-                f"step underflow at t={t:.6g} (dt={dt:.3e}); the generator may be stiff "
-                f"beyond what step_tol={step_tol:.1e} allows"
-            )
-        attempts += 1
-        if attempts > max_iters:
-            raise SolverError(f"exceeded max_iters={max_iters} RK step attempts")
-    return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
 
 
 def _commutes(perm: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -611,7 +539,7 @@ def at_gate(sys: CompositeSystem, gate: float) -> CompositeSystem:
 
 
 class _SylvesterFactorization:
-    """Eigendecomposition of A = iH + Delta, one block of ``_Sectors`` at a time.
+    """L(kappa)^-1 from the eigendecomposition of A = iH + Delta, one block of ``_Sectors`` at a time.
 
     Each block, B_s + z p_s in the basis Q_s, is eigendecomposed on its own,
     Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1, except that where ``_Sectors``
@@ -621,24 +549,29 @@ class _SylvesterFactorization:
     the eigendecompositions run; ``rho_odd``, ``block_sizes`` and
     ``lattice_mirror`` are those of ``_Sectors``.  ``lam`` concatenates the
     eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
-    act in the site basis, so ``solve(source)`` returns the kept blocks'
-    solution of A X + X A^dag = S as v ((vinv S vinv^dag) / D) v^dag with
+    act in the site basis, so ``back(rotate(S))`` is the kept blocks'
+    solution of A X + X A^dag = S, v ((vinv S vinv^dag) / D) v^dag with
     D_ab = lam_a + conj(lam_b); the source need not respect either symmetry.
     Q_s has one nonzero per row (its row map in ``_Sectors``), so Q_s V_s is
     a row gather of V_s times a weight per row and V_s^-1 Q_s^dag a column
     gather, each written straight into v and vinv.  Pairs with |D| below the
     guard correspond to conserved (dark) sectors; their components are
-    projected out, which selects the minimal-norm steady state.
-    ``solve`` is ``back(rotate(source))``, and a source that is nonzero on a
-    few sites (the drive, on the rings) is rotated over those alone;
-    ``lattice_diagonal`` reads the lattice diagonal of a solution from v's
-    lattice rows, ``dephasing_map`` is the lattice-diagonal part of
-    ``solve``, with each unit source's escape into the leads, and
-    ``lattice_system`` the matrix of the dephasing self-consistency.
+    projected out, which selects the minimal-norm steady state.  A source
+    that is nonzero on a few sites (the drive, on the rings) is rotated over
+    those alone.  ``apply(S)`` adds the dephasing: it returns X with
+    A X + X A^dag - kappa diag_lattice(X) = S, in the kept blocks, for any
+    Hermitian S.  ``latt`` holds the lattice sites; ``lattice_diagonal``
+    reads the lattice diagonal of ``back(t)`` from v's lattice rows,
+    ``dephasing_map`` is that diagonal for each unit source on the lattice,
+    with its escape into the leads, and ``lattice_system`` the matrix
+    I - kappa M of the dephasing self-consistency, built once at kappa > 0
+    as ``shift``.
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
         sectors = _sectors(sys)
+        self.kappa = kappa
+        self.latt = np.flatnonzero(sys.lattice_mask)
         self.rho_odd = sectors.rho_odd
         self.lattice_mirror = sectors.lattice_mirror
         self.block_sizes = sectors.block_sizes
@@ -676,6 +609,8 @@ class _SylvesterFactorization:
             np.divide(1.0, inv, out=inv)
         inv[self.dark_pairs] = 0.0
         self.inv_denom = inv
+        if kappa > 0:
+            self.shift = self.lattice_system()
 
     def rotate(self, source: np.ndarray) -> np.ndarray:
         """vinv S vinv^dag, over the rows and columns where the source S is nonzero."""
@@ -688,16 +623,32 @@ class _SylvesterFactorization:
         """The solution v (t / D) v^dag for a rotated source t."""
         return self.v @ (t * self.inv_denom) @ self.v.conj().T
 
-    def solve(self, source: np.ndarray) -> np.ndarray:
-        return self.back(self.rotate(source))
+    def apply(self, source: np.ndarray) -> np.ndarray:
+        """X = L(kappa)^-1(-S): A X + X A^dag - kappa diag_lattice(X) = S, for a Hermitian source S.
 
-    def lattice_diagonal(self, t: np.ndarray, latt: np.ndarray) -> np.ndarray:
-        """Re diag(back(t)) over the lattice sites latt, from v's lattice rows alone."""
-        v = self.v[latt]
+        The dephasing feeds back on the lattice diagonal d alone, so the
+        solve is affine in it, d = d0 + kappa M d: one small linear system
+        replaces a fixed-point iteration that stalls once kappa exceeds the
+        escape rates.  The source S + kappa diag(d) is rotated as two terms,
+        S's read for d0 on the lattice rows alone.  Only the kept blocks are
+        solved: S's part in a dropped ring-odd block is left out.  Any
+        source serves: the drive, a residual to refine, or the kappa
+        derivative's D rho.
+        """
+        t = self.rotate(source)
+        if self.kappa > 0:
+            d = np.linalg.solve(self.shift, self.lattice_diagonal(t))
+            u = self.vinv[:, self.latt]
+            t += (u * (self.kappa * d)) @ u.conj().T
+        return self.back(t)
+
+    def lattice_diagonal(self, t: np.ndarray) -> np.ndarray:
+        """Re diag(back(t)) over the lattice sites, from v's lattice rows alone."""
+        v = self.v[self.latt]
         return _re_row_dot(v @ (t * self.inv_denom), v)
 
-    def dephasing_map(self, latt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, e): M[i, j] = Re X_j[latt_i, latt_i] and e_j the escape of X_j = solve(|latt_j><latt_j|).
+    def dephasing_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, e): M[i, j] = Re X_j[latt_i, latt_i] and e_j the escape of X_j = back(rotate(|latt_j><latt_j|)).
 
         Column j is Re diag(v Y_j v^dag) over the lattice rows, with
         Y_j = (u_j u_j^dag) * inv_denom and u_j = vinv[:, latt_j], taken row by
@@ -720,6 +671,7 @@ class _SylvesterFactorization:
         in u_j, 2 Im u_j^T G conj(u_j), so one product with G gives it for the
         whole half; e_Sj = e_j.
         """
+        latt = self.latt
         nl = latt.size
         mir = self.lattice_mirror
         half = np.flatnonzero(mir >= np.arange(nl))
@@ -757,7 +709,7 @@ class _SylvesterFactorization:
         escape[half] = escape[mir[half]] = 2.0 * np.einsum("ja,ja->j", u @ g, u.conj()).imag
         return m, escape
 
-    def lattice_system(self, latt: np.ndarray, kappa: float) -> np.ndarray:
+    def lattice_system(self) -> np.ndarray:
         """I - kappa M, the matrix of the lattice diagonal's self-consistency (I - kappa M) d = d0.
 
         Probability is conserved: tr(A X_j + X_j A^dag) = tr |latt_j><latt_j|
@@ -770,10 +722,10 @@ class _SylvesterFactorization:
         (``solve_steady_state`` warns); there the diagonal stays
         1 - kappa M_jj, whose rounding leaves the matrix invertible.
         """
-        m, escape = self.dephasing_map(latt)
-        k = -kappa * m
+        m, escape = self.dephasing_map()
+        k = -self.kappa * m
         if self.contacts[0].size == 0:
-            k[np.diag_indices(latt.size)] += 1.0
+            k[np.diag_indices(self.latt.size)] += 1.0
             return k
         np.fill_diagonal(k, 0.0)
         np.fill_diagonal(k, escape - k.sum(axis=0))
@@ -781,10 +733,8 @@ class _SylvesterFactorization:
 
 
 def _solve_sylvester(
-    sys: CompositeSystem,
-    kappa: float,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
+    sys: CompositeSystem, kappa: float
+) -> tuple[np.ndarray, int, list[str], tuple[int, ...]]:
     notes: list[str] = []
     fact = _SylvesterFactorization(sys, kappa)
     if fact.dark_pairs.any():
@@ -792,28 +742,9 @@ def _solve_sylvester(
             "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
         )
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
-
-    t = fact.rotate(sys.drive)
-    solves = 1
-    if kappa > 0:
-        # Self-consistency over the lattice diagonal d: the solve is affine,
-        # d = d0 + kappa*M d, so one small linear system replaces a fixed
-        # point iteration that stalls once kappa exceeds the escape rates.
-        # The source drive + kappa diag(d) is rotated as two terms, the
-        # drive's read for d0 on the lattice rows alone.
-        latt = np.flatnonzero(sys.lattice_mask)
-        k = fact.lattice_system(latt, kappa)
-        solves += latt.size
-        d0 = fact.lattice_diagonal(t, latt)
-        d = np.linalg.solve(k, d0)
-        u = fact.vinv[:, latt]
-        t += (u * (kappa * d)) @ u.conj().T
-        solves += 1
-    rho = fact.back(t)
-    rho += fact.rho_odd
-    rho += rho.conj().T
-    rho *= 0.5
-    return rho, solves, _residual(sys, rho, kappa), notes, fact.eig_blocks
+    # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
+    solves = fact.latt.size + 2 if kappa > 0 else 1
+    return fact.apply(sys.drive) + fact.rho_odd, solves, notes, fact.eig_blocks
 
 
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -833,10 +764,8 @@ def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
 
 
 def _solve_full_linear(
-    sys: CompositeSystem,
-    kappa: float,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, int, float, list[str], tuple[int, ...]]:
+    sys: CompositeSystem, kappa: float
+) -> tuple[np.ndarray, int, list[str], tuple[int, ...]]:
     """The least-squares rho with L vec(rho) = -vec(drive), minimal-norm where L is singular.
 
     Where L is exactly singular (the dark sectors at kappa = 0) that is the
@@ -854,9 +783,7 @@ def _solve_full_linear(
     if rank < n * n:
         notes.append("generator is singular; least-squares minimal-norm steady state returned")
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
-    rho = x.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho, 1, _residual(sys, rho, kappa), notes, ()
+    return x.reshape(n, n), 1, notes, ()
 
 
 def solve_steady_state(
@@ -881,11 +808,15 @@ def solve_steady_state(
 
     start = time.perf_counter()
     if cfg.method == SolverMethod.SYLVESTER:
-        m, iters, res, notes, eig_blocks = _solve_sylvester(sys, kappa, cfg)
+        m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
     elif cfg.method == SolverMethod.FULL_LINEAR:
-        m, iters, res, notes, eig_blocks = _solve_full_linear(sys, kappa, cfg)
+        m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
     else:
         raise ValueError(f"unknown solver method {cfg.method!r}")
+    # either method's rho is Hermitian to rounding: return, and check, its Hermitian part
+    m += m.conj().T
+    m *= 0.5
+    res = _residual(sys, m, kappa)
     wall = time.perf_counter() - start
 
     diag = SolveDiagnostics(
