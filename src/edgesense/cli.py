@@ -120,6 +120,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         pops = site_populations(rho, system)
     wall = time.perf_counter() - t0
     fingerprint = cfg.fingerprint()
+    # The matrix goes to its own file, before the JSON that points at it, so
+    # a steady_state.json always sits beside a complete spdm.npy.
+    (out / "steady_state.json").unlink(missing_ok=True)
+    spdm = spdm_to_json(rho, out / "spdm.npy")
 
     payload = {
         "fingerprint": fingerprint,
@@ -127,7 +131,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             "jbar": profile.mean,
             "max_deviation": profile.max_deviation,
             "populations": [float(p) for p in pops],
-            "spdm": spdm_to_json(rho),
+            "spdm": spdm,
         },
         "diagnostics": {
             "method": diag.method.value,

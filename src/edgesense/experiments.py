@@ -13,7 +13,6 @@ import functools
 import math
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,6 +219,10 @@ def _run_sweep(
             for i in range(n):
                 run_row(i)
         else:
+            # imported here: the pool module pulls in logging and costs a
+            # serial or single-solve process several ms of import
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_row, range(n)))
 

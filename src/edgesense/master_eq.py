@@ -66,6 +66,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -836,11 +837,17 @@ def solve_steady_state(
     return SPDM(matrix=m, index_map=sys.index_map, time=np.inf), diag
 
 
-def spdm_to_json(rho: SPDM) -> dict:
-    """JSON object of an SPDM; the matrix is stored row-major as [re, im] pairs."""
+def spdm_to_json(rho: SPDM, path: Path) -> dict:
+    """Write rho's matrix to ``path`` as ``.npy``; return the JSON object describing it.
+
+    The file holds one complex128 N x N array in C order, rows and columns in
+    ``index_map`` order, so ``np.load(path)`` is ``rho.matrix`` bit for bit.
+    """
     m = rho.matrix
+    with open(path, "wb") as f:
+        np.save(f, np.ascontiguousarray(m, dtype=complex))
     return {
         "N": m.shape[0],
         "index_map": rho.index_map.labels() if rho.index_map is not None else None,
-        "matrix": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
+        "file": Path(path).name,
     }

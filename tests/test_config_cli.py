@@ -19,6 +19,7 @@ from edgesense.config import (
 from edgesense.experiments import (
     CSV_HEADER_PREFIX,
     SweepTable,
+    _one_blas_thread,
     _openblas_threads,
     fit_esaki_tsu,
     read_sweep_csv,
@@ -26,7 +27,7 @@ from edgesense.experiments import (
 )
 from edgesense.lattice import RHOMBIC_TERMINATIONS
 from edgesense.leads import MIN_RING_SIZE
-from edgesense.master_eq import SolverMethod
+from edgesense.master_eq import SolverMethod, solve_steady_state
 
 MU = math.pi / 40
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -444,8 +445,20 @@ class TestCli:
         # an even SSH chain at gate 0: one eigendecomposition serves both
         # mirror blocks
         assert payload["diagnostics"]["eig_blocks"] == [7]
-        assert payload["data"]["spdm"]["N"] == 20
+        assert payload["data"]["spdm"] == {
+            "N": 20,
+            "index_map": ["lattice"] * 4 + ["left_lead"] * 8 + ["right_lead"] * 8,
+            "file": "spdm.npy",
+        }
+        assert (tmp_path / "o" / "steady_state.json").stat().st_size < 8192
         assert len(payload["data"]["populations"]) == 4
+        # the matrix is written once, as .npy, and is the library's solve to the bit
+        saved = np.load(tmp_path / "o" / "spdm.npy")
+        assert saved.dtype == np.complex128 and saved.shape == (20, 20)
+        config = parse_config_dict(base_raw())
+        with _one_blas_thread():
+            rho, _ = solve_steady_state(config.build_system(), config.decoherence, config.solver)
+        assert saved.tobytes() == rho.matrix.tobytes()
         prof = (tmp_path / "o" / "profile.csv").read_text().splitlines()
         assert prof[1] == "cut,current"
         currents = [float(r.split(",")[1]) for r in prof[2:]]
@@ -624,6 +637,20 @@ class TestCli:
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert main(["steady", "--config", str(tmp_path / "nope.json")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_spdm_write_failure_is_io_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, base_raw())
+        out = tmp_path / "o"
+        argv = ["steady", "--config", cfg, "--out", str(out)]
+        # a failed write also removes the steady_state.json of an earlier run
+        assert main(argv) == 0
+        capsys.readouterr()
+        (out / "spdm.npy").unlink()
+        (out / "spdm.npy").mkdir()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+        assert not (out / "steady_state.json").exists()
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

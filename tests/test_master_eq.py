@@ -294,17 +294,22 @@ class TestSteadyState:
         assert rho.time == np.inf
         assert diag.wall_time >= 0.0
 
-    def test_spdm_json_payload(self, small_system):
+    def test_spdm_json_payload(self, small_system, tmp_path):
         rho, _ = solve_steady_state(small_system, 0.0)
-        payload = spdm_to_json(rho)
-        assert payload["N"] == 20
-        assert payload["index_map"] == ["lattice"] * 4 + ["left_lead"] * 8 + ["right_lead"] * 8
-        assert len(payload["matrix"]) == 400
-        re, im = payload["matrix"][0]
-        assert_allclose(complex(re, im), rho.matrix[0, 0], atol=0)
+        payload = spdm_to_json(rho, tmp_path / "spdm.npy")
+        assert payload == {
+            "N": 20,
+            "index_map": ["lattice"] * 4 + ["left_lead"] * 8 + ["right_lead"] * 8,
+            "file": "spdm.npy",
+        }
         assert json.loads(json.dumps(payload)) == payload
-        bare = spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex)))
+        saved = np.load(tmp_path / "spdm.npy")
+        assert saved.dtype == np.complex128 and saved.shape == (20, 20)
+        assert saved.flags.c_contiguous
+        assert saved.tobytes() == rho.matrix.tobytes()
+        bare = spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex)), tmp_path / "bare.npy")
         assert bare["index_map"] is None
+        assert np.load(tmp_path / "bare.npy").tobytes() == np.eye(2, dtype=complex).tobytes()
 
 
 def two_ring_system(m_left, m_right, beta=np.inf):
