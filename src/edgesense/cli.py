@@ -63,10 +63,6 @@ def _out_dir(args: argparse.Namespace, cfg: RunConfig | None) -> Path:
     return out
 
 
-def _parallel(args: argparse.Namespace) -> int:
-    return max(1, args.parallel)
-
-
 def _gap_intervals(cfg: RunConfig) -> list[tuple[float, float]]:
     """Band-gap intervals from the closed-form dispersion, gate shift included.
 
@@ -170,9 +166,9 @@ def _run_sweep_command(args: argparse.Namespace, axis: str, command: str) -> int
     values = _sweep_values(cfg, axis, command)
     t0 = time.perf_counter()
     if axis == "delta":
-        table = sweep_gate(cfg, values, parallel=_parallel(args))
+        table = sweep_gate(cfg, values, parallel=args.parallel)
     else:
-        table = sweep_decoherence(cfg, values, parallel=_parallel(args))
+        table = sweep_decoherence(cfg, values, parallel=args.parallel)
     wall = time.perf_counter() - t0
 
     target = out / f"{command.replace('-', '_')}.csv"
@@ -229,11 +225,15 @@ def _add_common(parser: argparse.ArgumentParser, *, config_required: bool) -> No
             help="accept configs with mu_L < mu_R",
         )
     parser.add_argument("--out", help="output directory (default: config output.path)")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, config_required=True)
     parser.add_argument(
         "--parallel",
         type=int,
         default=1,
-        help="concurrent solves for sweeps (default: 1)",
+        help="concurrent solves (default: 1)",
     )
 
 
@@ -266,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_steady)
 
     p = sub.add_parser("sweep-gate", help="current versus gate offset")
-    _add_common(p, config_required=True)
+    _add_sweep(p)
     p.set_defaults(handler=lambda a: _run_sweep_command(a, "delta", "sweep-gate"))
 
     p = sub.add_parser("sweep-kappa", help="current versus decoherence rate")
-    _add_common(p, config_required=True)
+    _add_sweep(p)
     p.set_defaults(handler=lambda a: _run_sweep_command(a, "kappa", "sweep-kappa"))
 
     p = sub.add_parser("fit", help="rate-law fit of a decoherence sweep CSV")

@@ -159,6 +159,18 @@ class CompositeSystem:
             raise ValueError(f"composite Hamiltonian is not Hermitian (max deviation {dev:.3e})")
 
 
+def contact_bonds(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bonds between the lattice and the leads, as h_total holds them.
+
+    Returns (lattice sites c, lead sites r, h_total[c, r]), one entry per
+    nonzero of h_total's lattice-by-leads block, in row-major order.
+    """
+    imap = sys.index_map
+    c, r = np.nonzero(sys.h_total[imap.lattice, imap.n_lattice :])
+    r += imap.n_lattice
+    return c, r, sys.h_total[c, r]
+
+
 def assemble_composite(
     lat: Lattice,
     left: RingLead,

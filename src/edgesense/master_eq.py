@@ -32,11 +32,11 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   of one half of the lattice from the two blocks and their cross term.
   At gate 0 the chiral fold halves the floor where it holds: on a
   bipartite lattice with real hoppings (up to a gauge) and no on-site
-  term, the sublattice sign c makes x -> c * conj(x) a symmetry of A, and
-  where it maps the mirror's + block onto its - block the - block is the
-  conjugate of the + block (``_chiral_fold``).  Then one ``zgeev`` at 51
-  serves fig1/fig2 at delta = 0; fig3 (flux off pi) and fig4 (delta off 0)
-  keep two at 44.
+  term, the sublattice sign c makes C x = c * conj(x) a symmetry of A, and
+  where C maps the mirror's + block onto its - block, C of each + block
+  eigenvector at lam is a - block eigenvector at conj(lam)
+  (``_chiral_fold``).  Then one ``zgeev`` at 51 serves fig1/fig2 at
+  delta = 0; fig3 (flux off pi) and fig4 (delta off 0) keep two at 44.
   The blocks do not depend on the gate or kappa (``_Sectors``), so they
   are found once per system and kept on it.  A sweep assembles one
   system and derives each row from it with ``at_gate``, which carries the
@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .leads import CompositeSystem, IndexMap
+from .leads import CompositeSystem, IndexMap, contact_bonds
 
 FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
@@ -330,8 +330,10 @@ def _stationary(
     return max(np.abs(ring_rows).max(), np.abs(x[: rings.start]).max(initial=0.0)) <= tol
 
 
-def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None) -> np.ndarray:
-    """Unit phases d for d_i b[i, j] conj(d_j) = a[i, j]: if any phases satisfy it, these do.
+def _gauge(
+    a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Unit phases d with d_i b[i, j] conj(d_j) = a[i, j] on every entry to tol, or None if none exist.
 
     One depth-first walk over the bonds of a (its entries above tol) fixes d
     on a spanning tree of each connected part: a bond i -> j sets
@@ -341,7 +343,8 @@ def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None
     that S x = d * x[s] is a unitary involution that commutes with a: a
     part's first site takes conj(d) of its image if that is set already, and
     a part mapped onto itself is rotated by one common phase.  The walk
-    does not check the relation off the tree: the caller does.
+    sets d from the tree alone, so the relation is then checked on every
+    entry: if any phases satisfy it, these do.
     """
     n = a.shape[0]
     rows, cols = np.divmod(np.flatnonzero(np.abs(a) > tol), n)
@@ -369,7 +372,10 @@ def _gauge(a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None
     if s is not None:
         root = np.array(root)
         d /= np.sqrt(d[root] * d[s[root]])
-    return d
+    # one N x N temporary, reused: each fresh one past the mmap threshold costs page faults
+    x = d[:, None] * b
+    x *= d.conj()
+    return d if np.abs(np.subtract(x, a, out=x)).max() <= tol else None
 
 
 def _mirror_split(
@@ -398,7 +404,7 @@ def _mirror_split(
         s = col[mirror[row_of]]
         a_s = a_q[np.ix_(s, s)]
         d = _gauge(a_q, a_s, tol, s)
-        if np.abs(d[:, None] * a_s * d.conj() - a_q).max() <= tol:
+        if d is not None:
             blocks = []
             for p in _pair_basis(s, d):
                 col_p, w_p = _row_map(p, s.size)
@@ -407,50 +413,32 @@ def _mirror_split(
     return np.arange(a_q.shape[0]), [(q, a_q)]
 
 
-def _chiral_fold(
-    a: np.ndarray, blocks: list[tuple], tol: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(p, g) with B_-[p][:, p] = g conj(B_+) conj(g) for the two mirror blocks, or None.
+def _chiral_fold(a: np.ndarray, blocks: list[tuple], tol: float) -> np.ndarray | None:
+    """Unit phases c with which C x = c * conj(x) maps the + mirror block onto the - block, or None.
 
-    Phases c with c conj(a) conj(c) = a (``_gauge`` against conj(a)) make
-    C x = c * conj(x) an antiunitary symmetry of a.  They exist where the
-    lattice and the rings form a bipartite graph with hoppings real up to a
-    gauge and no on-site energy, so that a's diagonal is the real rates;
-    then c is the sublattice sign.  Where C anticommutes with the mirror S
-    (an even SSH chain, whose mirror swaps the sublattices, or a rhombic
-    chain at flux pi, whose mirror gauge is imaginary), C maps the + block
-    onto the - block, c conj(Q_+) = Q_-[:, p] diag(g) for a column
-    permutation p and unit phases g, and the blocks are related as above.
-    Both relations are checked on every entry, which checks c on the kept
-    blocks, where the solve needs it.  blocks holds (col, w, B_s, ...) of
-    ``_Sectors``: row i of Q_s is w[i] in column col[i].  So row i of
-    c conj(Q_+) is c_i conj(w_+i) in column col_+i, Q_-^dag c conj(Q_+)
-    sums conj(w_-i) c_i conj(w_+i) into (col_-i, col_+i), and, p being a
-    permutation, row i of Q_-[:, p] diag(g) is w_-i g_k in the column k
-    with p_k = col_-i.
+    Phases c with c conj(a) conj(c) = a (``_gauge`` against conj(a)) make C
+    an antiunitary symmetry of a.  They exist where the lattice and the
+    rings form a bipartite graph with hoppings real up to a gauge and no
+    on-site energy, so that a's diagonal is the real rates; then c is the
+    sublattice sign times the gauge's phases.  Where C anticommutes with
+    the mirror S (an even SSH chain, whose mirror swaps the sublattices, or
+    a rhombic chain at flux pi, whose mirror gauge is imaginary), C maps
+    the + block onto the - block: each column of C Q_+ lies in the span of
+    Q_-, so the columns of Q_-^dag C Q_+ have unit norm.  Then an
+    eigenvector x of a in the + block, at lam, gives C x in the - block, at
+    conj(lam).  blocks holds (col, w, B_s, ...) of ``_Sectors``: row i of
+    Q_s is w[i] in column col[i], so Q_-^dag C Q_+ sums
+    conj(w_-i) c_i conj(w_+i) into (col_-i, col_+i).
     """
     if len(blocks) != 2 or blocks[0][2].shape != blocks[1][2].shape:
         return None
     c = _gauge(a, a.conj(), tol)
-    (col_p, w_p, b_p, _), (col_m, w_m, b_m, _) = blocks
-    cq = c * w_p.conj()
-    w = np.zeros(b_m.shape, dtype=complex)
-    np.add.at(w, (col_m, col_p), w_m.conj() * cq)
-    p = np.argmax(np.abs(w), axis=0)
-    if np.bincount(p, minlength=p.size).max() != 1:
+    if c is None:
         return None
-    g = w[p, np.arange(p.size)]
-    k = np.empty_like(p)
-    k[p] = np.arange(p.size)
-    k = k[col_m]
-    lhs = w_m * g[k]
-    err = np.where(k == col_p, np.abs(lhs - cq), np.maximum(np.abs(lhs), np.abs(cq)))
-    if (
-        err.max() <= tol
-        and np.abs(b_m[np.ix_(p, p)] - g[:, None] * b_p.conj() * g.conj()).max() <= tol
-    ):
-        return p, g
-    return None
+    (col_p, w_p, _, _), (col_m, w_m, b_m, _) = blocks
+    w = np.zeros(b_m.shape, dtype=complex)
+    np.add.at(w, (col_m, col_p), w_m.conj() * c * w_p.conj())
+    return c if np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= tol else None
 
 
 def _re_row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -478,11 +466,11 @@ class _Sectors:
     product.  ``blocks`` holds (col, w, B_s, the indices where p_s = 1),
     + block first, ``block_sizes`` their sizes, ``lattice_mirror`` the
     mirror of the lattice sites (the identity when A does not split),
-    ``chiral`` the relation (p, g) between B_+ and B_- of ``_chiral_fold``,
-    or None, and ``contacts`` the bonds between the lattice and the leads as
-    (lattice sites c, lead sites r, h_total[c, r]).  The conjugation in the
-    chiral relation takes z to conj(z), so it carries over to the blocks of
-    A only where z is real: at gate 0.
+    ``chiral`` the site phases c of ``_chiral_fold``, with which
+    C x = c * conj(x) maps the + block onto the - block, or None, and
+    ``contacts`` the bonds between the lattice and the leads
+    (``leads.contact_bonds``).  C commutes with P and takes z to conj(z),
+    so it is a symmetry of A only where z is real: at gate 0.
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -504,10 +492,7 @@ class _Sectors:
             self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
         self.chiral = _chiral_fold(a, self.blocks, tol)
-        # the lead sites follow the lattice sites
-        c, r = np.nonzero(sys.h_total[imap.lattice, imap.n_lattice :])
-        r += imap.n_lattice
-        self.contacts = c, r, sys.h_total[c, r]
+        self.contacts = contact_bonds(sys)
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -544,9 +529,11 @@ class _SylvesterFactorization:
 
     Each block, B_s + z p_s in the basis Q_s, is eigendecomposed on its own,
     Q_s^dag A Q_s = V_s diag(lam_s) V_s^-1, except that where ``_Sectors``
-    holds the chiral relation (p, g) and z is real (``folded``) the - block
-    follows from the + block: lam_- = conj(lam_+), V_-[p] = g conj(V_+) and
-    V_-^-1[:, p] = conj(V_+^-1) conj(g).  ``eig_blocks`` lists the sizes of
+    holds the chiral phases c and z is real (``folded``) the - block is the
+    image of the + block under C x = c * conj(x), taken in the site basis:
+    lam_- = conj(lam_+), Q_- V_- = c * conj(Q_+ V_+) and
+    V_-^-1 Q_-^dag = conj(V_+^-1 Q_+^dag) * conj(c), the latter since C maps
+    the + block onto the - block unitarily.  ``eig_blocks`` lists the sizes of
     the eigendecompositions run; ``rho_odd``, ``block_sizes`` and
     ``lattice_mirror`` are those of ``_Sectors``.  ``lam`` concatenates the
     eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
@@ -584,23 +571,21 @@ class _SylvesterFactorization:
         self.vinv = np.empty((size, sys.size), dtype=complex)
         lams, eig_blocks, start = [], [], 0
         for col_s, w_s, b_s, lat_s in sectors.blocks:
+            cols = slice(start, start + b_s.shape[0])
+            start = cols.stop
             if self.folded and lams:
-                p, g = sectors.chiral
-                lam, v_c, vinv_c = lam.conj(), v.conj(), vinv.conj()
-                v, vinv = np.empty_like(v), np.empty_like(vinv)
-                v[p] = g[:, None] * v_c
-                vinv[:, p] = vinv_c * g.conj()
+                c, plus = sectors.chiral, slice(0, lams[0].size)
+                lams.append(lams[0].conj())
+                np.multiply(c[:, None], self.v[:, plus].conj(), out=self.v[:, cols])
+                np.multiply(self.vinv[plus].conj(), c.conj(), out=self.vinv[cols])
             else:
                 a_s = b_s.copy()
                 a_s[lat_s, lat_s] += z
                 lam, v = np.linalg.eig(a_s)
-                vinv = np.linalg.inv(v)
+                lams.append(lam)
                 eig_blocks.append(lam.size)
-            lams.append(lam)
-            cols = slice(start, start + lam.size)
-            start += lam.size
-            np.multiply(w_s[:, None], v[col_s], out=self.v[:, cols])
-            np.multiply(vinv[:, col_s], w_s.conj(), out=self.vinv[cols])
+                np.multiply(w_s[:, None], v[col_s], out=self.v[:, cols])
+                np.multiply(np.linalg.inv(v)[:, col_s], w_s.conj(), out=self.vinv[cols])
         self.eig_blocks = tuple(eig_blocks)
         self.lam = lam = np.concatenate(lams)
         inv = np.add.outer(lam, lam.conj())
@@ -661,8 +646,9 @@ class _SylvesterFactorization:
         the (+, -) pair X = 2 Re sum; then M[i, j] = M[Si, Sj] = E + X and
         M[Si, j] = M[i, Sj] = E - X, over rows i in the same half.  Unsplit,
         the mirror is the identity and there is no - block, so X = 0.  Folded
-        by C, the - block is the conjugate of the + block, whose (-, -) term
-        is the complex conjugate of its (+, +) term: E is twice the latter.
+        by C, v's - columns are c * conj(v's + columns) and vinv's - rows
+        conj(vinv's + rows) * conj(c), with |c| = 1, so the (-, -) term is the
+        complex conjugate of the (+, +) term: E is twice the latter.
         The columns j are taken in chunks: the rows w of every j in a chunk are
         stacked, so each block pair costs one product per chunk, and a chunk
         holds as many columns as keep each temporary within MAP_CHUNK_BYTES.

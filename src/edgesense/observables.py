@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leads import CompositeSystem
+from .leads import CompositeSystem, contact_bonds
 from .master_eq import SPDM, _as_matrix
 
 
@@ -47,23 +47,32 @@ def bond_current(
 def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProfile:
     """Currents through the two contacts and every internal cut of the device.
 
-    Every bond current is taken in one call of ``bond_current`` over index
-    arrays, and ``np.add.reduceat`` sums each cut's bonds.  For the one or
-    two bonds per cut of the SSH and rhombic chains that is the order of a
-    loop over the bonds; a longer cut may differ from it in the last digit.
+    The contacts are the bonds between the lattice and each lead that
+    h_total holds (``contact_bonds``), so a contact moved off the end sites
+    is still counted; a lead with no bond carries zero.  Every bond current
+    is taken in one call of ``bond_current`` over index arrays, and
+    ``np.add.reduceat`` sums each cut's bonds.  For the one or two bonds per
+    cut of the SSH and rhombic chains that is the order of a loop over the
+    bonds; a longer cut may differ from it in the last digit.
     """
     imap = sys.index_map
     lattice = sys.lattice
     first, last = 0, imap.n_lattice - 1
-    # the current flows from n into m: the left contact, each cut's bonds
-    # (left site, right site), the right contact, and each a cut of its own
+    c, r, _ = contact_bonds(sys)
+    to_left = r < imap.right.start
+    # the current flows from n into m: the left contact (lead into lattice),
+    # each cut's bonds (left site, right site), the right contact (lattice
+    # into lead), and each a cut of its own
     bonds = np.array([bond for cut in lattice.cuts for bond in cut.bonds], dtype=np.intp)
     left, right = bonds.reshape(-1, 2).T
-    m = np.concatenate(([first], right, [imap.right.start]))
-    n = np.concatenate(([imap.left.start], left, [last]))
+    m = np.concatenate((c[to_left], right, r[~to_left]))
+    n = np.concatenate((r[to_left], left, c[~to_left]))
     j = bond_current(rho, sys, m, n)
-    starts = np.cumsum([0, 1] + [len(cut.bonds) for cut in lattice.cuts])
-    currents = np.add.reduceat(j, starts)
+    counts = np.array([to_left.sum(), *(len(cut.bonds) for cut in lattice.cuts), (~to_left).sum()])
+    # np.add.reduceat gives an empty cut the next cut's first bond: sum the others alone
+    currents = np.zeros(counts.size)
+    full = counts > 0
+    currents[full] = np.add.reduceat(j, (np.cumsum(counts) - counts)[full])
 
     labels = (
         f"L|{lattice.site_labels[first]}",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edgesense.cli import _parallel, build_parser, main
+from edgesense.cli import build_parser, main
 from edgesense.config import (
     ConfigError,
     apply_overrides,
@@ -673,7 +674,13 @@ class TestCli:
             assert named in err["message"]
 
     def test_usage_errors_exit_1(self, capsys):
-        for argv in (["steady"], [], ["steady", "--config", "c.json", "--bogus"]):
+        # --parallel belongs to the two sweep commands alone
+        parallel = [
+            ["spectrum", "--config", "c.json", "--parallel", "2"],
+            ["steady", "--config", "c.json", "--parallel", "2"],
+            ["fit", "table.csv", "--parallel", "2"],
+        ]
+        for argv in (["steady"], [], ["steady", "--config", "c.json", "--bogus"], *parallel):
             assert main(argv) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "input"
@@ -759,13 +766,31 @@ class TestCli:
             if blas:
                 blas[1](saved)
 
-    def test_thread_count_resolution(self, monkeypatch):
-        # --parallel is the one setting of the sweep workers; the environment is not read
+    def test_thread_count_resolution(self, monkeypatch, tmp_path, capsys):
+        # --parallel is the one setting of the sweep workers and belongs to the
+        # two sweep commands; the environment is not read, and the sweep
+        # clamps the count to between 1 and its number of rows
         monkeypatch.setenv("EDGESENSE_THREADS", "3")
-        parse = lambda *flags: build_parser().parse_args(["sweep-gate", "--config", "c.json", *flags])
-        assert _parallel(parse()) == 1
-        assert _parallel(parse("--parallel", "0")) == 1
-        assert _parallel(parse("--parallel", "6")) == 6
+        for command in ("sweep-gate", "sweep-kappa"):
+            parse = lambda *flags: build_parser().parse_args([command, "--config", "c.json", *flags])
+            assert parse().parallel == 1
+            assert parse("--parallel", "0").parallel == 0
+            assert parse("--parallel", "6").parallel == 6
+        pools = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        cfg = write_cfg(tmp_path, base_raw(sweep={"axis": "delta", "values": [0.0, 0.1]}))
+        for parallel, expected in (("0", []), ("1", []), ("6", [2])):
+            pools.clear()
+            argv = ["sweep-gate", "--config", cfg, "--out", str(tmp_path / parallel)]
+            assert main(argv + ["--parallel", parallel]) == 0
+            assert pools == expected
+        capsys.readouterr()
 
     def test_json_output_format_rejected(self, tmp_path, capsys):
         # sweeps are written as CSV only, the one format fit reads back

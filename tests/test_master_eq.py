@@ -507,6 +507,13 @@ def mirror_test_system(name):
             h[:4, block.start + 1] = contact
             h[block.start + 1, :4] = contact.conj()
         return dataclasses.replace(sys, h_total=h)
+    if name == "square-plaquette":
+        # bonds 0-1, 0-2, 3-1 and 3-2: the mirror 0 <-> 3, 1 <-> 2 keeps each
+        # sublattice, so C maps the + block onto itself and must not fold
+        hop = np.zeros((4, 4))
+        for i, j in ((0, 1), (0, 2), (3, 1), (3, 2)):
+            hop[i, j] = hop[j, i] = -0.5
+        return assemble_composite(build_custom(hop), *leads, 0.2)
     if name == "rhombic-chain-at-pi":
         # real hoppings and a mirror gauge d = +-i: the chiral fold holds
         return assemble_composite(build_rhombic(3, 1.0, math.pi), *leads, 0.2)
@@ -538,7 +545,8 @@ def mirror_test_system(name):
 # both contacts moved and the rhombic chains (through their gauge phases)
 # keep the mirror; each other case breaks it one way.  Where the chiral
 # fold holds (an even chain with real hoppings, no on-site term and gate 0)
-# one eigendecomposition serves both blocks.
+# one eigendecomposition serves both blocks; the square plaquette is
+# bipartite too, but its mirror keeps the sublattices, so it does not fold.
 # Unequal rings are inputs of TestCoupledSector.test_reduction_matches_oracle.
 MIRROR_CASES = {
     "ssh-chain": ((5, 5), (5,), (0.0, 0.01, 3.0)),
@@ -549,6 +557,8 @@ MIRROR_CASES = {
     "unequal-gammas": ((10,), (10,), (0.0, 0.01, 3.0)),
     "odd-ssh-chain": ((11,), (11,), (0.0, 0.01, 3.0)),
     "custom-onsite": ((10,), (10,), (0.0, 0.01, 3.0)),
+    # at kappa = 0 sites 1 and 2 hold a dark state, (|1> - |2>)/sqrt(2)
+    "square-plaquette": ((5, 5), (5, 5), (0.01, 3.0)),
     # at kappa = 0 the rhombic chains hold caged, dark lattice states
     "rhombic-chain-at-pi": ((8, 8), (8,), (0.01, 3.0)),
     "rhombic-chain": ((8, 8), (8, 8), (0.01, 3.0)),
@@ -787,11 +797,12 @@ class TestIndexMaps:
             qs.append(q_s)
             assert np.abs(q_s.conj().T @ a0 @ q_s - b_s).max() <= 1e-14
             if fact.folded and k == 1:
-                p, g = sectors.chiral
-                v_c, vinv_c = v.conj(), vinv.conj()
-                v, vinv = np.empty_like(v), np.empty_like(vinv)
-                v[p] = g[:, None] * v_c
-                vinv[:, p] = vinv_c * g.conj()
+                # the + block's eigenvectors mapped by C x = c * conj(x), in
+                # this block's basis: the gathers then equal Q_- V_- only if
+                # C maps them into the span of Q_-
+                c = sectors.chiral
+                v = q_s.conj().T @ (c[:, None] * (qs[0] @ v).conj())
+                vinv = ((vinv @ qs[0].conj().T).conj() * c.conj()) @ q_s
             else:
                 a_s = b_s.copy()
                 a_s[lat_s, lat_s] += z
@@ -808,6 +819,47 @@ class TestIndexMaps:
         assert np.abs(q @ q.conj().T - kept).max() <= 1e-14
         if len(qs) == 2:
             assert np.abs(qs[0].conj().T @ a0 @ qs[1]).max() <= 1e-14
+
+
+# the systems whose mirror blocks the chiral fold serves by one eigendecomposition
+FOLDING = ["fig1", "fig2", "ssh-chain", "both-contacts-at-site-1", "rhombic-chain-at-pi"]
+
+
+class TestChiralFold:
+    @pytest.mark.parametrize("name", FOLDING)
+    def test_minus_block_is_the_site_phase_map(self, name):
+        # the - columns of v, the - rows of vinv and lam_- are the map
+        # x -> c * conj(x) of the + block, to the bit, and each - column is an
+        # eigenvector of A at its eigenvalue
+        sys = named_system(name)
+        kappa = 0.01
+        fact = _SylvesterFactorization(sys, kappa)
+        assert fact.folded
+        c = master_eq._sectors(sys).chiral
+        assert np.abs(np.abs(c) - 1.0).max() <= 1e-15
+        n_e = fact.block_sizes[0]
+        plus, minus = slice(0, n_e), slice(n_e, None)
+        assert fact.lam[minus].tobytes() == fact.lam[plus].conj().tobytes()
+        assert fact.v[:, minus].tobytes() == (c[:, None] * fact.v[:, plus].conj()).tobytes()
+        assert fact.vinv[minus].tobytes() == (fact.vinv[plus].conj() * c.conj()).tobytes()
+        a = 1j * sys.h_total + np.diag(0.5 * (sys.gamma_by_index + kappa * sys.lattice_mask))
+        v = fact.v[:, minus]
+        assert np.abs(a @ v - v * fact.lam[minus]).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["square-plaquette", "mirrored-onsite", "rhombic-chain"])
+    def test_refused(self, name):
+        # the square's sublattice sign is a symmetry of A_0 but maps each
+        # mirror block onto itself; an on-site term or a flux off pi leaves no
+        # phases c with c conj(A_0) conj(c) = A_0, which _gauge reports as None
+        sys = mirror_test_system(name)
+        sectors = master_eq._sectors(sys)
+        assert sectors.block_sizes == MIRROR_CASES[name][0]
+        assert sectors.chiral is None
+        assert not _SylvesterFactorization(sys, 0.01).folded
+        gate = sys.lattice.gate_offset
+        a0 = 1j * (sys.h_total - gate * np.diag(sys.lattice_mask)) + np.diag(0.5 * sys.gamma_by_index)
+        c = master_eq._gauge(a0, a0.conj(), 1e-12)
+        assert (c is not None) == (name == "square-plaquette")
 
 
 class TestLatticeSystem:

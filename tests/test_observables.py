@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from edgesense.config import parse_config
-from edgesense.lattice import build_custom
+from edgesense.lattice import build_custom, build_ssh
 from edgesense.leads import RingLead, assemble_composite
 from edgesense.master_eq import DegenerateSteadyStateWarning, solve_steady_state
 from edgesense.observables import (
@@ -102,6 +103,28 @@ class TestCurrentProfile:
         prof = current_profile(rho, sys)
         assert prof.currents.tobytes() == np.asarray(loop).tobytes()
         assert prof.cut_labels[1:-1] == tuple(cut.label for cut in sys.lattice.cuts)
+
+    def test_contacts_read_from_h_total(self):
+        # both rings moved onto their site 1 by dataclasses.replace: the
+        # contact cuts are the bonds h_total holds, and carry the current
+        # that flows through the device
+        leads = RingLead(size=4, mu=0.3, beta=5.0), RingLead(size=4, mu=-0.02, beta=5.0)
+        sys = assemble_composite(build_ssh(4, 0.5, 1.0), *leads, 0.2)
+        h = sys.h_total.copy()
+        for block in (sys.index_map.left, sys.index_map.right):
+            contact = h[:4, block.start].copy()
+            h[:4, block.start] = h[block.start, :4] = 0.0
+            h[:4, block.start + 1] = contact
+            h[block.start + 1, :4] = contact.conj()
+        sys = dataclasses.replace(sys, h_total=h)
+        rho, diag = solve_steady_state(sys, 0.01)
+        assert diag.residual < 1e-12
+        prof = current_profile(rho, sys)
+        inner = prof.currents[1:-1]
+        assert abs(inner.mean()) > 1e-3
+        for contact in (prof.currents[0], prof.currents[-1]):
+            assert np.abs(contact - inner).max() <= 1e-12 * abs(inner.mean())
+        assert prof.max_deviation <= 1e-12 * abs(prof.mean)
 
     def test_cuts_of_many_bonds(self):
         # next-nearest hoppings put three bonds through each inner cut, which
