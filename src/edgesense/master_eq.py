@@ -18,18 +18,22 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   linear solve over it pins X down exactly.  That one solve,
   ``_SylvesterFactorization.apply``, takes any Hermitian source S: the
   steady state is it applied to the drive.  A is eigendecomposed one symmetry
-  block at a time, by one rule: an involution S that permutes the sites,
-  up to a phase per site, and commutes with A splits it into S's +1 and
-  -1 blocks.  The ring reflection m <-> M - m drops its odd block, whose
-  modes vanish on the contact site and whose steady state is the
-  target's odd block; the whole-system mirror (lattice site i <-> n - 1 - i,
-  rings swapped) then halves what is left.  The mirror takes phases d,
-  S x = d * x[mirror]: d = 1 on the SSH chains, and on the rhombic chains
-  d undoes the Peierls phases, which the mirror moves from A_n -> B_n onto
-  another bond.  The per-solve floor is two LAPACK ``zgeev`` at 51 for
-  fig1/fig2 (N = 140) and two at 44 for fig3/fig4 (N = 126).  The
-  dephasing reduction is folded by the same mirror: it builds the columns
-  of one half of the lattice from the two blocks and their cross term.
+  block at a time, by one rule (``_split``): an involution S x = d * x[s]
+  that permutes the sites s, up to a phase d per site, and commutes with A
+  splits it into S's +1 and -1 blocks.  Both involutions take phases: d = 1
+  on the shipped systems' ring reflection and on the SSH chains' mirror,
+  and any site gauge of the system moves into d.  The ring reflection
+  m <-> M - m drops its odd block, whose modes vanish on the contact site,
+  where that block is decoupled in its own basis: the drive does not join
+  it to the even block, the target's odd block is its steady state, and
+  every odd mode relaxes.  The whole-system mirror (lattice site
+  i <-> n - 1 - i, rings swapped) then halves what is left; on the rhombic
+  chains its d undoes the Peierls phases, which the mirror moves from
+  A_n -> B_n onto another bond.  The per-solve floor is two LAPACK
+  ``zgeev`` at 51 for fig1/fig2 (N = 140) and two at 44 for fig3/fig4
+  (N = 126).  The dephasing reduction is folded by the same mirror: it
+  builds the columns of one half of the lattice from the two blocks and
+  their cross term.
   At gate 0 the chiral fold halves the floor where it holds: on a
   bipartite lattice with real hoppings (up to a gauge) and no on-site
   term, the sublattice sign c makes C x = c * conj(x) a symmetry of A, and
@@ -62,6 +66,7 @@ the system, so it checks the reused blocks rather than trusting them.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 import warnings
 from collections.abc import Callable
@@ -74,8 +79,8 @@ from .leads import CompositeSystem, IndexMap, contact_bonds
 
 FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
-# Tolerance on every condition for a symmetry split of A = iH + Delta (a
-# permutation commuting with A, and the ring-odd block's steady state),
+# Tolerance on every condition for a symmetry split of A = iH + Delta (an
+# involution commuting with A, and the ring-odd block's decoupling),
 # relative to the largest entry of A and at least 1.
 SECTOR_TOL = 1e-12
 # The dephasing map stacks the rows of several lattice columns into one
@@ -208,24 +213,18 @@ def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float) -> float:
     return float(np.abs(apply_liouvillian(sys, m, kappa)).max()) / _residual_scale(sys)
 
 
-def _commutes(perm: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Whether the permutation perm of x's indices commutes with the matrix x, to tol."""
-    return float(np.abs(x[np.ix_(perm, perm)] - x).max(initial=0.0)) <= tol
-
-
-def _pair_basis(perm: np.ndarray, d: np.ndarray | None = None) -> tuple[tuple, tuple]:
+def _pair_basis(perm: np.ndarray, d: np.ndarray) -> tuple[tuple, tuple]:
     """Orthonormal bases of the +1 and -1 eigenspaces of the involution S x = d * x[perm].
 
     Each pair lo < hi = perm[lo] gives the column (|lo> + d_hi |hi>)/sqrt(2) to
     the + basis, in the place of lo, and (|lo> - d_hi |hi>)/sqrt(2) to the -
     basis, in the place of hi; each fixed point i gives |i> to the basis of
-    the sign of d_i.  The phases d (unit modulus, d_i d[perm[i]] = 1) default
-    to 1, which gives the real bases of the plain permutation.  A column has
+    the sign of d_i.  The phases d have unit modulus and d_i d[perm[i]] = 1;
+    d = 1 gives the real bases of the plain permutation.  A column has
     at most two nonzeros, so each basis is returned as (rows, w) of shape
     (2, columns): column k is w[0, k] |rows[0, k]> + w[1, k] |rows[1, k]>,
     with w[1, k] = 0 at a fixed point.
     """
-    d = np.ones(perm.size) if d is None else d
     idx = np.arange(perm.size)
     fixed = perm == idx
     h = np.sqrt(0.5)
@@ -269,26 +268,43 @@ def _pair_rows(x: np.ndarray, basis: tuple, conj: bool) -> np.ndarray:
     return y
 
 
-def _project(x: np.ndarray, basis: tuple) -> np.ndarray:
-    """Q^dag x Q for a ``_pair_basis`` basis Q, by two gathers instead of two products."""
-    return _pair_rows(_pair_rows(x, basis, conj=True).T, basis, conj=False).T
+def _project(x: np.ndarray, basis: tuple, right: tuple | None = None) -> np.ndarray:
+    """Q^dag x R for ``_pair_basis`` bases Q and R (R = Q by default), by two gathers instead of two products."""
+    right = basis if right is None else right
+    return _pair_rows(_pair_rows(x, basis, conj=True).T, right, conj=False).T
+
+
+def _split(a: np.ndarray, perm: np.ndarray, tol: float) -> list[tuple[tuple, np.ndarray]] | None:
+    """The + and - blocks of a under an involution that permutes its indices up to a phase each, or None.
+
+    ``_gauge`` finds phases d with which S x = d * x[perm] commutes with a,
+    to tol, or reports that none exist (None).  Each block is then
+    (its ``_pair_basis`` basis Q, Q^dag a Q), the + block first.
+    """
+    d = _gauge(a, a[np.ix_(perm, perm)], tol, perm)
+    if d is None:
+        return None
+    return [(p, _project(a, p)) for p in _pair_basis(perm, d)]
 
 
 def _drop_ring_odd(
-    sys: CompositeSystem, a: np.ndarray, half: np.ndarray, tol: float
+    sys: CompositeSystem, a: np.ndarray, tol: float
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """Basis left once the ring reflection drops its odd block, A in that basis, and the block's steady state.
 
     The reflection r maps site m of each ring to M - m (mod M) and fixes the
-    lattice; its odd modes vanish on the contact sites.  The odd block Q_o
-    is dropped, with steady state P_o target P_o, when r commutes with A,
-    that state is stationary, A rho + rho A^dag = P_o drive (which also
-    rules out a drive between the odd and even blocks), and every odd mode
-    relaxes, so the odd block has one steady state and no dark pair.  The
-    projector P_o = Q_o Q_o^T acts as P_o X = (X - X[r])/2.  The basis q left
-    is returned as its row map (``_row_map``), with q^T A q.  Otherwise the
-    basis is the identity, A is returned as it is, and the steady state is
-    zero.
+    lattice, up to a phase per site (``_split``); its odd modes vanish on
+    the contact sites.  The odd block Q_o, with B_o = Q_o^dag A Q_o, is
+    dropped where it is decoupled in its own basis: Q_o^dag drive Q_e = 0,
+    so the drive does not join it to the even block Q_e; the target's odd
+    block T = Q_o^dag target Q_o solves B_o T + T B_o^dag = Q_o^dag drive Q_o;
+    and Re diag B_o > tol, which is B_o's Hermitian part (Delta is diagonal
+    and the basis columns have disjoint rows), so every odd mode relaxes and
+    the block has one steady state and no dark pair.  That state is
+    rho_odd = Q_o T Q_o^dag, two gathers with Q_o's row map.  The basis left
+    is returned as Q_e's row map (``_row_map``), with Q_e^dag A Q_e.
+    Otherwise the basis is the identity, A is returned as it is, and the
+    steady state is zero.
     """
     imap = sys.index_map
     n = imap.size
@@ -296,40 +312,20 @@ def _drop_ring_odd(
     for block in (imap.left, imap.right):
         m = r[block] - block.start
         r[block] = block.start + (-m) % m.size
-    # P_o target P_o lives on the rings' block: P_o vanishes on the lattice
-    rings = slice(imap.n_lattice, n)
-    r_rings = r[rings] - imap.n_lattice
-    odd_target = 0.5 * (sys.target[rings, rings] - sys.target[rings, rings][r_rings])
-    rho_rings = 0.5 * (odd_target - odd_target[:, r_rings])
-    if (
-        _commutes(r, a, tol)
-        and _stationary(sys, a, rho_rings, r, tol)
-        and half[r < np.arange(n)].min(initial=np.inf) > tol
-    ):
-        even, _ = _pair_basis(r)
-        rho_odd = np.zeros((n, n), dtype=complex)
-        rho_odd[rings, rings] = rho_rings
-        return _row_map(even, n), _project(a, even), rho_odd
+    split = _split(a, r, tol)
+    if split is not None:
+        (even, b_e), (odd, b_o) = split
+        t = _project(sys.target, odd)
+        rest = b_o @ t + t @ b_o.conj().T - _project(sys.drive, odd)
+        coupled = np.abs(_project(sys.drive, odd, even)).max(initial=0.0)
+        if b_o.size and max(coupled, np.abs(rest).max()) <= tol < b_o.diagonal().real.min():
+            col, w = _row_map(odd, n)
+            rho_odd = w[:, None] * t[np.ix_(col, col)] * w.conj()
+            return _row_map(even, n), b_e, rho_odd
     return (np.arange(n), np.ones(n)), a, np.zeros((n, n), dtype=complex)
 
 
-def _stationary(
-    sys: CompositeSystem, a: np.ndarray, rho_rings: np.ndarray, r: np.ndarray, tol: float
-) -> bool:
-    """Whether rho_odd, which is rho_rings on the rings' block, has A rho + rho A^dag = P_o drive to tol.
-
-    Both sides vanish outside the rings' rows and columns (P_o drive on the
-    lattice rows), so they are compared there: the lattice rows of the
-    rings' columns, and the rings' rows.
-    """
-    rings = slice(sys.index_map.n_lattice, sys.size)
-    x = a[:, rings] @ rho_rings
-    ring_rows = 0.5 * (sys.drive[r[rings]] - sys.drive[rings])
-    ring_rows[:, rings] += x[rings]
-    ring_rows += x.conj().T
-    return max(np.abs(ring_rows).max(), np.abs(x[: rings.start]).max(initial=0.0)) <= tol
-
-
+@np.errstate(divide="ignore", invalid="ignore")
 def _gauge(
     a: np.ndarray, b: np.ndarray, tol: float, s: np.ndarray | None = None
 ) -> np.ndarray | None:
@@ -339,18 +335,25 @@ def _gauge(
     on a spanning tree of each connected part: a bond i -> j sets
     d_j = d_i * phase(conj(a[i, j]) b[i, j]), so d = 1 where b = a, and a
     part's first site takes d = 1.  With an involution s and
-    b = a[s][:, s] (the mirror), d is also made to satisfy d_i d[s_i] = 1, so
+    b = a[s][:, s] (``_split``), d is also made to satisfy d_i d[s_i] = 1, so
     that S x = d * x[s] is a unitary involution that commutes with a: a
     part's first site takes conj(d) of its image if that is set already, and
     a part mapped onto itself is rotated by one common phase.  The walk
     sets d from the tree alone, so the relation is then checked on every
-    entry: if any phases satisfy it, these do.
+    entry: if any phases satisfy it, these do.  A bond of a that b lacks
+    gives its far site a NaN phase, which fails the check, without a
+    floating-point warning.  d = 1 is tried first, by one vectorised
+    comparison: it holds on every shipped ring reflection and SSH mirror,
+    and there the walk, a Python step per bond, would find it too.
     """
     n = a.shape[0]
+    # one N x N temporary, reused: each fresh one past the mmap threshold costs page faults
+    x = np.subtract(b, a)
+    if np.abs(x).max(initial=0.0) <= tol:
+        return np.ones(n, dtype=complex)
     rows, cols = np.divmod(np.flatnonzero(np.abs(a) > tol), n)
     w = a[rows, cols].conj() * b[rows, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (w / np.abs(w)).tolist()
+    w = (w / np.abs(w)).tolist()
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()
     d: list = [None] * n
@@ -372,8 +375,7 @@ def _gauge(
     if s is not None:
         root = np.array(root)
         d /= np.sqrt(d[root] * d[s[root]])
-    # one N x N temporary, reused: each fresh one past the mmap threshold costs page faults
-    x = d[:, None] * b
+    np.multiply(d[:, None], b, out=x)
     x *= d.conj()
     return d if np.abs(np.subtract(x, a, out=x)).max() <= tol else None
 
@@ -381,16 +383,16 @@ def _gauge(
 def _mirror_split(
     imap: IndexMap, q: tuple[np.ndarray, np.ndarray], a_q: np.ndarray, tol: float
 ) -> tuple[np.ndarray, list[tuple[tuple[np.ndarray, np.ndarray], np.ndarray]]]:
-    """The mirror of q's columns and the blocks (row map of Q_s, Q_s^dag A Q_s), given a_q = q^T A q.
+    """The mirror of q's columns and the blocks (row map of Q_s, Q_s^dag A Q_s), given a_q = q^dag A q.
 
     q is a basis with one nonzero per row, given as its row map (col, w).
     The mirror maps lattice site i to n_lattice - 1 - i and left ring site
     m to right ring site m, and so q's columns onto each other: column k
     goes to the column that holds the mirror image of any of its rows.
-    Where the rings have equal size and a gauge d makes S x = d * x[s]
-    commute with a_q (``_gauge``), q splits into the + and - blocks of S
-    (``_pair_basis``): d = 1 on the SSH chains, and the Peierls phases of
-    the rhombic chains need d != 1.  Q_s = q P_s keeps one nonzero per row,
+    Where the rings have equal size and ``_split`` finds phases d that make
+    S x = d * x[s] commute with a_q, q splits into the + and - blocks P_s
+    of S: d = 1 on the SSH chains, and the Peierls phases of the rhombic
+    chains need d != 1.  Q_s = q P_s keeps one nonzero per row,
     which P_s's row map gives.  Otherwise the mirror is the identity and
     (q, a_q) the one block.  Only A has to split, since the solve takes any
     source: mu, beta and the target need not be mirror-symmetric.
@@ -402,14 +404,10 @@ def _mirror_split(
         row_of = np.empty(a_q.shape[0], dtype=np.intp)
         row_of[col] = idx
         s = col[mirror[row_of]]
-        a_s = a_q[np.ix_(s, s)]
-        d = _gauge(a_q, a_s, tol, s)
-        if d is not None:
-            blocks = []
-            for p in _pair_basis(s, d):
-                col_p, w_p = _row_map(p, s.size)
-                blocks.append(((col_p[col], w * w_p[col]), _project(a_q, p)))
-            return s, blocks
+        split = _split(a_q, s, tol)
+        if split is not None:
+            maps = [(_row_map(p, s.size), b_p) for p, b_p in split]
+            return s, [((col_p[col], w * w_p[col]), b_p) for (col_p, w_p), b_p in maps]
     return np.arange(a_q.shape[0]), [(q, a_q)]
 
 
@@ -452,25 +450,31 @@ class _Sectors:
     Every lattice site has the on-site energy ``gate`` (the lattice's
     gate_offset) and the dephasing rate kappa/2, so A = A_0 + z P with
     z = i gate + kappa/2, P the projector on the lattice and
-    A_0 = i (H - gate P) + Gamma/2.  Both involutions map lattice sites to
-    lattice sites, so they commute with P, and Q_s^dag P Q_s is 0 or 1 on
-    each basis column.  So the split found on A_0 (``_drop_ring_odd``,
-    ``_mirror_split``) holds for every gate and kappa, and each block is
-    Q_s^dag A Q_s = B_s + z p_s with B_s = Q_s^dag A_0 Q_s.  A_0 differs
-    from A only by z on the lattice diagonal, where it is 0, so its
-    tolerance is no larger than that of any A.  Each Q_s composes the two
-    pair bases, so it has one nonzero per site row, and it is kept as that
-    row map: row i holds w[i] in column col[i] (w[i] = 0 where the block
-    does not reach site i).  B_s, q^T A q, rho_odd and the mirror of q's
-    columns are found by gathering rows and columns, without an N x N
-    product.  ``blocks`` holds (col, w, B_s, the indices where p_s = 1),
-    + block first, ``block_sizes`` their sizes, ``lattice_mirror`` the
-    mirror of the lattice sites (the identity when A does not split),
-    ``chiral`` the site phases c of ``_chiral_fold``, with which
-    C x = c * conj(x) maps the + block onto the - block, or None, and
-    ``contacts`` the bonds between the lattice and the leads
-    (``leads.contact_bonds``).  C commutes with P and takes z to conj(z),
-    so it is a symmetry of A only where z is real: at gate 0.
+    A_0 = i (H - gate P) + Gamma/2.  Both involutions, the ring reflection
+    and the mirror, are found by one ``_split`` each, up to a phase per
+    site, and map lattice sites to lattice sites, so they commute with P,
+    and Q_s^dag P Q_s is 0 or 1 on each basis column.  So the split found on
+    A_0 (``_drop_ring_odd``, ``_mirror_split``) holds for every gate and
+    kappa, and each block is Q_s^dag A Q_s = B_s + z p_s with
+    B_s = Q_s^dag A_0 Q_s.  A_0 differs from A only by z on the lattice
+    diagonal, where it is 0, so its tolerance is no larger than that of any
+    A.  Each Q_s composes the two pair bases, so it has one nonzero per site
+    row, and it is kept as that row map: row i holds w[i] in column col[i]
+    (w[i] = 0 where the block does not reach site i).  B_s, Q_e^dag A Q_e,
+    the ring-odd block's decoupling and steady state rho_odd, and the
+    mirror of Q_e's columns are found by gathering rows and columns,
+    without an N x N product.  ``blocks`` holds (col, w, B_s, the indices
+    where p_s = 1), + block first, ``block_sizes`` their sizes,
+    ``lattice_mirror`` the mirror of the lattice sites (the identity when A
+    does not split), and ``contacts`` the bonds between the lattice and the
+    leads (``leads.contact_bonds``).  ``chiral`` holds the site phases c of
+    ``_chiral_fold``, with which C x = c * conj(x) maps the + block onto
+    the - block, or None.  C commutes with P and takes z to conj(z), so it
+    is a symmetry of A only where z is real, at gate 0: ``chiral`` is found
+    from the ``a0`` and ``tol`` kept here on its first use, which a system
+    held at a nonzero gate never makes.  The rows of a pooled sweep share
+    one structure: two threads that ask for ``chiral`` at once may both
+    find it, and find the same phases.
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -478,10 +482,10 @@ class _Sectors:
         half = _half_rates(sys, 0.0)
         a = 1j * sys.h_total
         a.flat[:: sys.size + 1] += half - 1j * (sys.lattice.gate_offset * sys.lattice_mask)
-        tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
+        self.a0, self.tol = a, SECTOR_TOL * max(1.0, float(np.abs(a).max()))
 
-        q, a_q, self.rho_odd = _drop_ring_odd(sys, a, half, tol)
-        mirror, blocks = _mirror_split(imap, q, a_q, tol)
+        q, a_q, self.rho_odd = _drop_ring_odd(sys, a, self.tol)
+        mirror, blocks = _mirror_split(imap, q, a_q, self.tol)
         # q's first n_lattice columns are the lattice sites
         self.lattice_mirror = mirror[: imap.n_lattice]
         self.blocks = []
@@ -491,8 +495,11 @@ class _Sectors:
             on_lattice = np.flatnonzero(np.bincount(reached, minlength=b_s.shape[0]))
             self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
-        self.chiral = _chiral_fold(a, self.blocks, tol)
         self.contacts = contact_bonds(sys)
+
+    @functools.cached_property
+    def chiral(self) -> np.ndarray | None:
+        return _chiral_fold(self.a0, self.blocks, self.tol)
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -565,7 +572,7 @@ class _SylvesterFactorization:
         self.block_sizes = sectors.block_sizes
         self.contacts = sectors.contacts
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
-        self.folded = sectors.chiral is not None and z.imag == 0
+        self.folded = z.imag == 0 and sectors.chiral is not None
         size = sum(self.block_sizes)
         self.v = np.empty((sys.size, size), dtype=complex)
         self.vinv = np.empty((size, sys.size), dtype=complex)
@@ -786,15 +793,16 @@ def solve_steady_state(
     cfg = cfg or SolverConfig()
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    if sys.epsilon == 0:
+    start = time.perf_counter()
+    sylvester = cfg.method == SolverMethod.SYLVESTER
+    # the Sylvester solve keeps the contact bonds with the sector structure it builds anyway
+    if (_sectors(sys).contacts if sylvester else contact_bonds(sys))[0].size == 0:
         warnings.warn(
-            "epsilon=0 leaves the lattice disconnected; the steady state is not unique",
+            "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique",
             DegenerateSteadyStateWarning,
             stacklevel=2,
         )
-
-    start = time.perf_counter()
-    if cfg.method == SolverMethod.SYLVESTER:
+    if sylvester:
         m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
     elif cfg.method == SolverMethod.FULL_LINEAR:
         m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)

@@ -13,7 +13,7 @@ from edgesense import config, master_eq
 from edgesense.config import parse_config
 from edgesense.experiments import _one_blas_thread, sweep_decoherence, sweep_gate, write_sweep_csv
 from edgesense.lattice import build_custom, build_rhombic, build_ssh
-from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite
+from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite, contact_bonds
 from edgesense.master_eq import (
     SPDM,
     DegenerateSteadyStateWarning,
@@ -244,6 +244,25 @@ class TestSteadyState:
         with pytest.warns(DegenerateSteadyStateWarning, match="epsilon=0"):
             solve_steady_state(sys, 0.01)
 
+    def test_device_without_contact_bonds_warns(self):
+        # epsilon stays 0.2, but h_total holds no bond between the lattice and
+        # the leads, so the lattice's state is not unique; with one contact
+        # left the lattice relaxes into that lead and nothing warns
+        sys = make_ssh_system()
+        c, r, _ = contact_bonds(sys)
+        assert c.size == 2
+
+        def cut(bonds):
+            h = sys.h_total.copy()
+            h[c[bonds], r[bonds]] = h[r[bonds], c[bonds]] = 0.0
+            return dataclasses.replace(sys, h_total=h)
+
+        for kappa in (0.0, 0.01):
+            with pytest.warns(DegenerateSteadyStateWarning) as record:
+                solve_steady_state(cut([0, 1]), kappa)
+            assert any("no bond joins the lattice" in str(w.message) for w in record)
+            assert solve_quietly(cut([0]), kappa)[1].converged
+
     def test_full_linear_size_gate(self):
         sys = make_ssh_system(length=30, ring=8)
         with pytest.raises(ValueError, match="gated"):
@@ -335,6 +354,15 @@ def solve_quietly(sys, kappa, cfg=None):
         return solve_steady_state(sys, kappa, cfg)
 
 
+def random_phases(n, seed):
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+
+
+def gauged(sys, u, fields=("h_total", "target", "drive")):
+    """sys with U x U^dag, U = diag(u), in place of each of the fields."""
+    return dataclasses.replace(sys, **{f: u[:, None] * getattr(sys, f) * u.conj() for f in fields})
+
+
 def without_reflection(name):
     """A hand-built SSH system whose leads break the ring reflection in one way."""
     sys = make_ssh_system()
@@ -379,6 +407,13 @@ def without_reflection(name):
         p_even = np.eye(sys.size) - p_odd
         extra = p_odd @ x @ p_even
         return dataclasses.replace(sys, drive=sys.drive + 0.01 * (extra + extra.conj().T))
+    if name == "ring-gauged-in-h-only":
+        # the left ring takes site phases in h_total alone: the reflection
+        # holds up to those phases, but the target, left as it was, is not
+        # stationary in the odd block
+        u = np.ones(sys.size, dtype=complex)
+        u[left] = random_phases(left.stop - l0, seed=5)
+        return gauged(sys, u, fields=("h_total",))
     # target commutes with the reflection but is not stationary in the odd sector
     x = random_hermitian(left.stop - l0, seed=6)
     mirror = (-np.arange(x.shape[0])) % x.shape[0]
@@ -420,6 +455,7 @@ class TestCoupledSector:
             "lattice-to-empty-odd-mode",
             "uneven-rates-in-empty-ring",
             "drive-couples-odd-to-even",
+            "ring-gauged-in-h-only",
         ],
     )
     def test_no_reflection_solves_in_full_basis(self, name):
@@ -466,6 +502,32 @@ class TestCoupledSector:
         assert len(record) == 1
         assert diag.iterations == 1
         assert len(diag.warnings) == 1
+
+
+class TestSiteGauge:
+    @pytest.mark.parametrize("name", ["ssh-4", "fig2", "fig4"])
+    def test_blocks_and_state_follow_a_site_gauge(self, name):
+        # site phases U on h_total, target and drive: both involutions hold up
+        # to phases, so the gauged system keeps the ungauged blocks and
+        # eigendecompositions (a ring reflection checked as a plain
+        # permutation kept (10, 10), (70, 70) and (63, 63)), and its steady
+        # state is U rho U^dag
+        sys = make_ssh_system() if name == "ssh-4" else named_system(name)
+        u = random_phases(sys.size, seed=11)
+        sys_g = gauged(sys, u)
+        rho, diag = solve_quietly(sys, 0.01)
+        rho_g, diag_g = solve_quietly(sys_g, 0.01)
+        assert master_eq._sectors(sys_g).block_sizes == master_eq._sectors(sys).block_sizes
+        assert diag_g.eig_blocks == diag.eig_blocks
+        assert np.abs(rho_g.matrix - u[:, None] * rho.matrix * u.conj()).max() <= 1e-12
+
+    def test_gauged_system_splits_to_the_oracle(self):
+        sys = gauged(make_ssh_system(), random_phases(20, seed=12))
+        for kappa in (0.0, 0.01):
+            assert _SylvesterFactorization(sys, kappa).block_sizes == (7, 7)
+            rho, _ = solve_quietly(sys, kappa)
+            full, _ = solve_quietly(sys, kappa, FULL)
+            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
 
 
 def mirror_test_system(name):
@@ -845,6 +907,24 @@ class TestChiralFold:
         a = 1j * sys.h_total + np.diag(0.5 * (sys.gamma_by_index + kappa * sys.lattice_mask))
         v = fact.v[:, minus]
         assert np.abs(a @ v - v * fact.lam[minus]).max() <= 1e-13
+
+    def test_phases_found_only_where_a_fold_can_run(self, monkeypatch):
+        # a system held at a nonzero gate never folds: fig4's kappa sweep never
+        # looks for the phases, and a gate sweep through 0 looks once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        fold = master_eq._chiral_fold
+        monkeypatch.setattr(master_eq, "_chiral_fold", counted)
+        fig4 = parse_config((CONFIGS / "fig4.json").read_text())
+        sweep_decoherence(fig4, np.logspace(-3, 1, 5))
+        assert calls == []
+        fig1 = parse_config((CONFIGS / "fig1.json").read_text())
+        sweep_gate(fig1, [-0.3, 0.0, 0.3])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["square-plaquette", "mirrored-onsite", "rhombic-chain"])
     def test_refused(self, name):

@@ -5,9 +5,11 @@ Usage, from the root of an edgesense checkout (or with --root pointing at one):
     OPENBLAS_NUM_THREADS=1 python3 tools/solve_pieces.py --repeats 41 [--root DIR]
 
 Prints one JSON object.  ``sectors_ms`` is one build of the symmetry blocks
-(``master_eq._Sectors``) on each shipped config.  For each case (config,
-gate, kappa), ``floor_ms`` is ``np.linalg.eig`` + ``inv`` of the blocks the
-factorization actually eigendecomposes (one where the chiral fold holds),
+(``master_eq._Sectors``) on each shipped config; it leaves out the chiral
+fold's walk, which ``_Sectors.chiral`` makes once, on its first use by a
+solve at gate 0.  For each case (config, gate, kappa), ``floor_ms`` is
+``np.linalg.eig`` + ``inv`` of the blocks the factorization actually
+eigendecomposes (one where the chiral fold holds),
 ``factorization_ms`` the factorization with the blocks already found
 (at kappa > 0 it includes building I - kappa M, whose dephasing map is also
 timed alone), ``above_floor_ms`` the difference, ``dephasing_map_ms`` the
@@ -61,7 +63,7 @@ def main() -> int:
     def floor(sys_, kappa):
         sectors = master_eq._sectors(sys_)
         z = complex(0.5 * kappa, sys_.lattice.gate_offset)
-        blocks = sectors.blocks[:1] if sectors.chiral is not None and z.imag == 0 else sectors.blocks
+        blocks = sectors.blocks[:1] if z.imag == 0 and sectors.chiral is not None else sectors.blocks
         for block in blocks:
             b_s, lat_s = block[2], block[3]
             a_s = b_s.copy()
