@@ -66,8 +66,6 @@ _LOWER_BOUNDS = {
 }
 # the key each section must have; "" is the document itself
 _REQUIRED = {"": "lattice", "lattice": "kind", "sweep": "axis"}
-# JSON keys that differ from their SweepSettings field names
-_SPELLING = {"span": "range", "log_span": "log_range"}
 _SWEEP_SHAPES = (("values",), ("range", "step"), ("log_range", "points"))
 
 
@@ -125,26 +123,31 @@ class LeadSettings:
 class SweepSettings:
     axis: str
     values: tuple[float, ...] | None = None
-    span: tuple[float, float] | None = None
+    range: tuple[float, float] | None = None
     step: float | None = None
-    log_span: tuple[float, float] | None = None
+    log_range: tuple[float, float] | None = None
     points: int | None = None
 
     def materialize(self) -> np.ndarray:
         """Expand the sweep description into the axis grid, endpoints included."""
         if self.values is not None:
             return np.asarray(self.values, dtype=float)
-        if self.span is not None:
-            lo, hi = self.span
+        if self.range is not None:
+            lo, hi = self.range
             n = int(round((hi - lo) / self.step)) + 1
             return np.linspace(lo, hi, n)
-        lo, hi = self.log_span
+        lo, hi = self.log_range
         return np.logspace(math.log10(lo), math.log10(hi), self.points)
 
+    @property
+    def log_span(self) -> tuple[float, float] | None:
+        """``log_range`` under its former name, which ``perfbench/workloads.py`` still reads."""
+        return self.log_range
+
     def to_dict(self) -> dict[str, Any]:
-        """The JSON spelling: unset fields dropped, spans as "range" lists."""
+        """The JSON spelling: unset fields dropped, tuples as lists."""
         return {
-            _SPELLING.get(k, k): list(v) if isinstance(v, tuple) else v
+            k: list(v) if isinstance(v, tuple) else v
             for k, v in asdict(self).items()
             if v is not None
         }
@@ -199,7 +202,7 @@ def _section(path: str, cls: type, raw: Any) -> dict[str, Any]:
     where = path or "<root>"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: {raw!r} is not an object")
-    types = {_SPELLING.get(f.name, f.name): f.type for f in fields(cls)}
+    types = {f.name: f.type for f in fields(cls)}
     for key in raw:
         if key not in types:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -288,15 +291,8 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
 
     sweep = None
     if sw is not None:
-        sweep = SweepSettings(
-            axis=sw["axis"],
-            values=sw.get("values"),
-            span=sw.get("range"),
-            step=sw.get("step"),
-            log_span=sw.get("log_range"),
-            points=sw.get("points"),
-        )
-        if sweep.span is not None and sweep.span[1] < sweep.span[0]:
+        sweep = SweepSettings(**sw)
+        if sweep.range is not None and sweep.range[1] < sweep.range[0]:
             raise ConfigError("sweep.range: upper bound below lower bound")
 
     return RunConfig(
@@ -325,6 +321,8 @@ def apply_overrides(raw: dict[str, Any], overrides: Iterable[str]) -> dict[str, 
     arm -> string); intermediate objects are created as needed.  Returns a
     new document, the input is not touched.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"<root>: {raw!r} is not an object")
     doc = copy.deepcopy(raw)
     for item in overrides:
         key, sep, text = item.partition("=")

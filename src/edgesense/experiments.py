@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .master_eq import SolverError, at_gate, solve_steady_state
 from .observables import (
     current_profile,
@@ -214,7 +214,13 @@ def _run_sweep(
         # every row is derived from one assembled system and differs from it
         # in the gate and kappa alone, which its sector structure leaves out:
         # at_gate builds that structure here, once, before the pool starts
-        base = at_gate(cfg.build_system(), gates[0])
+        system = cfg.build_system()
+        if system.index_map.n_lattice < 2 * _EDGE_SITES:
+            raise ConfigError(
+                f"lattice.L: a sweep's edge imbalance needs {2 * _EDGE_SITES} lattice "
+                f"sites or more, got {system.index_map.n_lattice}"
+            )
+        base = at_gate(system, gates[0])
         if workers == 1:
             for i in range(n):
                 run_row(i)
@@ -499,6 +505,8 @@ def read_sweep_csv(path: str | Path, axis_name: str = "axis") -> SweepTable:
             rows.append([float(cell) for cell in cells])
         except ValueError as err:
             raise ValueError(f"{path}, line {number}: {err}") from err
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     extras = {name: data[:, i] for i, name in enumerate(names) if i >= 3}
     return SweepTable(

@@ -42,13 +42,14 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   (``_chiral_fold``).  Then one ``zgeev`` at 51 serves fig1/fig2 at
   delta = 0; fig3 (flux off pi) and fig4 (delta off 0) keep two at 44.
   The blocks do not depend on the gate or kappa (``_Sectors``), so they
-  are found once per system and kept on it.  A sweep assembles one
-  system and derives each row from it with ``at_gate``, which carries the
-  blocks, so a solve pays for the eigendecomposition of each block, not
-  for finding the blocks.  Each block's basis composes the two pair
-  bases and so has one nonzero per site row; it is kept as that row's
-  column and weight, and every product with it (the blocks themselves,
-  and Q_s V_s and V_s^-1 Q_s^dag in the solve) is a gather.  The dephasing
+  are found once per system, with the chiral phases, and kept on it.  A
+  sweep assembles one system and derives each row from it with
+  ``at_gate``, which carries the blocks, so a solve pays for the
+  eigendecomposition of each block, not for finding the blocks.  Each
+  block's basis composes the two pair bases and so has one nonzero per
+  site row; it is kept as that row's column and weight, and every product
+  with it (the blocks themselves, and Q_s V_s and V_s^-1 Q_s^dag in the
+  solve) is a gather.  The dephasing
   reduction stacks several lattice columns into one product per block
   pair.  Its linear system takes each diagonal entry from probability
   conservation, as the escape into the leads plus the dephasing out of
@@ -66,7 +67,6 @@ the system, so it checks the reused blocks rather than trusting them.
 from __future__ import annotations
 
 import enum
-import functools
 import time
 import warnings
 from collections.abc import Callable
@@ -411,11 +411,12 @@ def _mirror_split(
     return np.arange(a_q.shape[0]), [(q, a_q)]
 
 
-def _chiral_fold(a: np.ndarray, blocks: list[tuple], tol: float) -> np.ndarray | None:
-    """Unit phases c with which C x = c * conj(x) maps the + mirror block onto the - block, or None.
+def _chiral_fold(c: np.ndarray | None, blocks: list[tuple], tol: float) -> np.ndarray | None:
+    """c if C x = c * conj(x) maps the + mirror block onto the - block, else None.
 
-    Phases c with c conj(a) conj(c) = a (``_gauge`` against conj(a)) make C
-    an antiunitary symmetry of a.  They exist where the lattice and the
+    c holds the unit phases with c conj(a) conj(c) = a, from ``_gauge``
+    against conj(a), or None where there are none; they make C an
+    antiunitary symmetry of a.  They exist where the lattice and the
     rings form a bipartite graph with hoppings real up to a gauge and no
     on-site energy, so that a's diagonal is the real rates; then c is the
     sublattice sign times the gauge's phases.  Where C anticommutes with
@@ -428,10 +429,7 @@ def _chiral_fold(a: np.ndarray, blocks: list[tuple], tol: float) -> np.ndarray |
     Q_s is w[i] in column col[i], so Q_-^dag C Q_+ sums
     conj(w_-i) c_i conj(w_+i) into (col_-i, col_+i).
     """
-    if len(blocks) != 2 or blocks[0][2].shape != blocks[1][2].shape:
-        return None
-    c = _gauge(a, a.conj(), tol)
-    if c is None:
+    if c is None or len(blocks) != 2 or blocks[0][2].shape != blocks[1][2].shape:
         return None
     (col_p, w_p, _, _), (col_m, w_m, b_m, _) = blocks
     w = np.zeros(b_m.shape, dtype=complex)
@@ -469,12 +467,11 @@ class _Sectors:
     does not split), and ``contacts`` the bonds between the lattice and the
     leads (``leads.contact_bonds``).  ``chiral`` holds the site phases c of
     ``_chiral_fold``, with which C x = c * conj(x) maps the + block onto
-    the - block, or None.  C commutes with P and takes z to conj(z), so it
-    is a symmetry of A only where z is real, at gate 0: ``chiral`` is found
-    from the ``a0`` and ``tol`` kept here on its first use, which a system
-    held at a nonzero gate never makes.  The rows of a pooled sweep share
-    one structure: two threads that ask for ``chiral`` at once may both
-    find it, and find the same phases.
+    the - block, or None; they are found on A_0 with the blocks.  C commutes
+    with P and takes z to conj(z), so it is a symmetry of A only where z is
+    real, at gate 0, and only a solve there uses them.  The structure is
+    complete when it is built and is not changed after, so the rows of a
+    pooled sweep share it as it is.
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -482,10 +479,13 @@ class _Sectors:
         half = _half_rates(sys, 0.0)
         a = 1j * sys.h_total
         a.flat[:: sys.size + 1] += half - 1j * (sys.lattice.gate_offset * sys.lattice_mask)
-        self.a0, self.tol = a, SECTOR_TOL * max(1.0, float(np.abs(a).max()))
+        tol = SECTOR_TOL * max(1.0, float(np.abs(a).max()))
+        # the chiral phases' walk first, while A_0 is the only N x N array
+        # alive: its temporaries would otherwise add to the sectors' peak memory
+        c = _gauge(a, a.conj(), tol)
 
-        q, a_q, self.rho_odd = _drop_ring_odd(sys, a, self.tol)
-        mirror, blocks = _mirror_split(imap, q, a_q, self.tol)
+        q, a_q, self.rho_odd = _drop_ring_odd(sys, a, tol)
+        mirror, blocks = _mirror_split(imap, q, a_q, tol)
         # q's first n_lattice columns are the lattice sites
         self.lattice_mirror = mirror[: imap.n_lattice]
         self.blocks = []
@@ -495,11 +495,8 @@ class _Sectors:
             on_lattice = np.flatnonzero(np.bincount(reached, minlength=b_s.shape[0]))
             self.blocks.append((col, w, b_s, on_lattice))
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
+        self.chiral = _chiral_fold(c, self.blocks, tol)
         self.contacts = contact_bonds(sys)
-
-    @functools.cached_property
-    def chiral(self) -> np.ndarray | None:
-        return _chiral_fold(self.a0, self.blocks, self.tol)
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -514,9 +511,10 @@ def at_gate(sys: CompositeSystem, gate: float) -> CompositeSystem:
 
     The copy's h_total lattice diagonal, lattice.hamiltonian diagonal and
     lattice.gate_offset hold gate; its other fields are sys's own objects.
-    It carries sys's sector structure, built on sys first if it is missing:
-    the structure leaves out the gate (``_Sectors``), so a sweep builds it
-    once on the system it assembles and derives every row from that.
+    It carries sys's sector structure, the blocks and the chiral phases,
+    built on sys first if it is missing: the structure leaves out the gate
+    (``_Sectors``), so a sweep builds it once on the system it assembles
+    and derives every row from that.
     Every solve still checks its own residual against the copy.
     """
     gate = float(gate)
@@ -794,15 +792,13 @@ def solve_steady_state(
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     start = time.perf_counter()
-    sylvester = cfg.method == SolverMethod.SYLVESTER
-    # the Sylvester solve keeps the contact bonds with the sector structure it builds anyway
-    if (_sectors(sys).contacts if sylvester else contact_bonds(sys))[0].size == 0:
+    if contact_bonds(sys)[0].size == 0:
         warnings.warn(
             "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique",
             DegenerateSteadyStateWarning,
             stacklevel=2,
         )
-    if sylvester:
+    if cfg.method == SolverMethod.SYLVESTER:
         m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
     elif cfg.method == SolverMethod.FULL_LINEAR:
         m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from edgesense import experiments
 from edgesense.cli import build_parser, main
 from edgesense.config import (
     ConfigError,
@@ -405,6 +407,10 @@ class TestOverrides:
     def test_override_through_scalar_rejected(self):
         with pytest.raises(ConfigError, match="not an object"):
             apply_overrides({"coupling": 0.2}, ["coupling.deep=1"])
+        # a document that is not an object has no path to walk
+        for raw in ([1], 0.2, "lattice", None):
+            with pytest.raises(ConfigError, match=f"^<root>: {re.escape(repr(raw))} is not an object$"):
+                apply_overrides(raw, ["a=1"])
 
     def test_non_finite_override_rejected(self):
         for item, path in [("lattice.delta=NaN", "lattice.delta"), ("coupling=Infinity", "coupling")]:
@@ -504,6 +510,13 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
         assert "at least 6" in err["message"]
+        # a header and a blank line, but no row
+        empty = tmp_path / "empty.csv"
+        empty.write_text(CSV_HEADER_PREFIX + "x\naxis,current,residual\n\n")
+        assert main(["fit", str(empty), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "input", "message": f"{empty}: no data rows"}
 
     def test_fit_of_tiny_currents(self, tmp_path, capsys):
         # fig4's sweep with its currents scaled by 1e-160 fits as the unscaled one
@@ -604,6 +617,31 @@ class TestCli:
         cfg = write_cfg(tmp_path, base_raw())
         assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "needs a sweep section" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_sweep_needs_both_edges(self, monkeypatch, tmp_path, capsys):
+        # an SSH chain of 2 sites solves, but a sweep's edge imbalance takes
+        # two sites at each end: both sweeps refuse it before any solve
+        cfg = write_cfg(tmp_path, base_raw(lattice={"kind": "ssh", "L": 2}))
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def no_solve(*args):
+            raise AssertionError("a sweep row was solved")
+
+        monkeypatch.setattr(experiments, "solve_steady_state", no_solve)
+        for command, sweep in [
+            ("sweep-gate", '{"axis": "delta", "values": [0.0, 0.1]}'),
+            ("sweep-kappa", '{"axis": "kappa", "values": [0.001, 0.01]}'),
+        ]:
+            argv = [command, "--config", cfg, "--out", str(out), "--override", f"sweep={sweep}"]
+            assert main(argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {
+                "error": "config",
+                "message": "lattice.L: a sweep's edge imbalance needs 4 lattice sites or more, got 2",
+            }
+        assert not list(out.glob("sweep_*.csv"))
 
     def test_integer_fields_written_as_floats_run(self, tmp_path, capsys):
         raw = base_raw(sweep={"axis": "kappa", "log_range": [1e-3, 1.0], "points": 6.0})

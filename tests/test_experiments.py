@@ -283,13 +283,15 @@ class TestCsvRoundTrip:
     def test_read_rejects_ragged_rows(self, tmp_path):
         bad = tmp_path / "ragged.csv"
         cases = [
-            ("0,1\n", "line 3: ragged"),
-            ("0,1,2\n0,1\n", "line 4: ragged"),
-            ("0,1,2\n0,abc,2\n", "line 4: could not convert string to float: 'abc'"),
+            ("0,1\n", ", line 3: ragged"),
+            ("0,1,2\n0,1\n", ", line 4: ragged"),
+            ("0,1,2\n0,abc,2\n", ", line 4: could not convert string to float: 'abc'"),
+            # past the three-line check, with no row to read
+            ("\n", ": no data rows"),
         ]
         for rows, message in cases:
             bad.write_text(CSV_HEADER_PREFIX + "x\n" + "axis,current,residual\n" + rows)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}, {message}"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}{message}"):
                 read_sweep_csv(bad)
 
 

@@ -650,7 +650,7 @@ def one_block(imap, q, a_q, tol):
     return np.arange(a_q.shape[0]), [(q, a_q)]
 
 
-def no_fold(a, blocks, tol):
+def no_fold(c, blocks, tol):
     """``_chiral_fold`` that never folds."""
     return None
 
@@ -908,24 +908,6 @@ class TestChiralFold:
         v = fact.v[:, minus]
         assert np.abs(a @ v - v * fact.lam[minus]).max() <= 1e-13
 
-    def test_phases_found_only_where_a_fold_can_run(self, monkeypatch):
-        # a system held at a nonzero gate never folds: fig4's kappa sweep never
-        # looks for the phases, and a gate sweep through 0 looks once
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return fold(*args)
-
-        fold = master_eq._chiral_fold
-        monkeypatch.setattr(master_eq, "_chiral_fold", counted)
-        fig4 = parse_config((CONFIGS / "fig4.json").read_text())
-        sweep_decoherence(fig4, np.logspace(-3, 1, 5))
-        assert calls == []
-        fig1 = parse_config((CONFIGS / "fig1.json").read_text())
-        sweep_gate(fig1, [-0.3, 0.0, 0.3])
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("name", ["square-plaquette", "mirrored-onsite", "rhombic-chain"])
     def test_refused(self, name):
         # the square's sublattice sign is a symmetry of A_0 but maps each
@@ -971,8 +953,9 @@ class TestLatticeSystem:
 
 class TestSharedSectors:
     def test_one_structure_per_sweep(self, monkeypatch, tmp_path):
-        # a sweep assembles one system and finds its blocks once, serial or pooled
-        calls = {"assemble": 0, "split": 0}
+        # a sweep assembles one system and finds its blocks and chiral phases
+        # once, serial or pooled
+        calls = {"assemble": 0, "split": 0, "fold": 0}
 
         def counted(name, f):
             def call(*args):
@@ -983,15 +966,16 @@ class TestSharedSectors:
 
         monkeypatch.setattr(config, "assemble_composite", counted("assemble", assemble_composite))
         monkeypatch.setattr(master_eq, "_mirror_split", counted("split", master_eq._mirror_split))
+        monkeypatch.setattr(master_eq, "_chiral_fold", counted("fold", master_eq._chiral_fold))
         fig4 = parse_config((CONFIGS / "fig4.json").read_text())
         sweep_decoherence(fig4, np.logspace(-3, 1, 5))
-        assert calls == {"assemble": 1, "split": 1}
+        assert calls == {"assemble": 1, "split": 1, "fold": 1}
         fig1 = parse_config((CONFIGS / "fig1.json").read_text())
         gates = np.linspace(-0.3, 0.3, 7)
         for parallel in (1, 3):
-            calls.update(assemble=0, split=0)
+            calls.update(assemble=0, split=0, fold=0)
             table = sweep_gate(fig1, gates, parallel=parallel)
-            assert calls == {"assemble": 1, "split": 1}
+            assert calls == {"assemble": 1, "split": 1, "fold": 1}
             assert table.extra_columns["converged"].all()
             write_sweep_csv(table, tmp_path / f"parallel{parallel}.csv")
         assert (tmp_path / "parallel1.csv").read_bytes() == (tmp_path / "parallel3.csv").read_bytes()

@@ -26,9 +26,10 @@ value is "identical" or a report of what differs:
 * an artifact that only one checkout wrote gives "missing in parent" or
   "missing in change".
 
-A command whose exit codes differ adds "<config>/<command>": {"exit": [parent,
-change], "stderr": [...]}.  The outputs go to a temporary directory, removed
-at the end.
+Each command adds "<config>/<command>": {"exit": [parent, change], "stderr":
+[parent, change]}, also where both sides exit alike, so a command that fails
+in both checkouts shows.  The outputs go to a temporary directory, removed at
+the end.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def main(argv: list[str] | None = None) -> int:
             outs = [work / side / name for side in ("parent", "change")]
             runs = [run_commands(root, name, out) for root, out in zip(roots, outs)]
             for command in sorted(set(runs[0]) | set(runs[1])):
-                codes = [r.get(command, (None, ""))[0] for r in runs]
-                if codes[0] != codes[1]:
-                    stderr = [r.get(command, (None, ""))[1].strip() for r in runs]
-                    report[f"{name}/{command}"] = {"exit": codes, "stderr": stderr}
+                codes, stderr = zip(*(r.get(command, (None, "")) for r in runs))
+                report[f"{name}/{command}"] = {
+                    "exit": list(codes),
+                    "stderr": [text.strip() for text in stderr],
+                }
             files = sorted({p.name for out in outs for p in out.iterdir()})
             for file in files:
                 report[f"{name}/{file}"] = compare_file(outs[0] / file, outs[1] / file)

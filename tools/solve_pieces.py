@@ -5,11 +5,10 @@ Usage, from the root of an edgesense checkout (or with --root pointing at one):
     OPENBLAS_NUM_THREADS=1 python3 tools/solve_pieces.py --repeats 41 [--root DIR]
 
 Prints one JSON object.  ``sectors_ms`` is one build of the symmetry blocks
-(``master_eq._Sectors``) on each shipped config; it leaves out the chiral
-fold's walk, which ``_Sectors.chiral`` makes once, on its first use by a
-solve at gate 0.  For each case (config, gate, kappa), ``floor_ms`` is
+and the chiral phases found with them (``master_eq._Sectors``) on each
+shipped config.  For each case (config, gate, kappa), ``floor_ms`` is
 ``np.linalg.eig`` + ``inv`` of the blocks the factorization actually
-eigendecomposes (one where the chiral fold holds),
+eigendecomposes (``eig_blocks``: one where the chiral fold holds),
 ``factorization_ms`` the factorization with the blocks already found
 (at kappa > 0 it includes building I - kappa M, whose dephasing map is also
 timed alone), ``above_floor_ms`` the difference, ``dephasing_map_ms`` the
@@ -60,12 +59,9 @@ def main() -> int:
     def cfg(name):
         return parse_config((root / "configs" / f"{name}.json").read_text())
 
-    def floor(sys_, kappa):
-        sectors = master_eq._sectors(sys_)
+    def floor(sys_, kappa, fact):
         z = complex(0.5 * kappa, sys_.lattice.gate_offset)
-        blocks = sectors.blocks[:1] if z.imag == 0 and sectors.chiral is not None else sectors.blocks
-        for block in blocks:
-            b_s, lat_s = block[2], block[3]
+        for _, _, b_s, lat_s in master_eq._sectors(sys_).blocks[: len(fact.eig_blocks)]:
             a_s = b_s.copy()
             a_s[lat_s, lat_s] += z
             _, v = np.linalg.eig(a_s)
@@ -82,7 +78,7 @@ def main() -> int:
         rho, _ = master_eq.solve_steady_state(sys_, kappa)
         fact = master_eq._SylvesterFactorization(sys_, kappa)
         pieces = {
-            "floor_ms": lambda: floor(sys_, kappa),
+            "floor_ms": lambda: floor(sys_, kappa, fact),
             "factorization_ms": lambda: master_eq._SylvesterFactorization(sys_, kappa),
             "residual_ms": lambda: master_eq._residual(sys_, rho.matrix, kappa),
             "solve_ms": lambda: master_eq.solve_steady_state(sys_, kappa),
