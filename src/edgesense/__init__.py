@@ -11,7 +11,6 @@ from .lattice import (
 )
 from .leads import CompositeSystem, RingLead, assemble_composite, lead_dispersion, thermal_occupations
 from .master_eq import (
-    SPDM,
     DegenerateSteadyStateWarning,
     SolveDiagnostics,
     SolverConfig,
@@ -19,6 +18,7 @@ from .master_eq import (
     SolverMethod,
     apply_liouvillian,
     solve_steady_state,
+    validate_spdm,
 )
 from .observables import (
     CurrentProfile,

@@ -119,7 +119,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     # The matrix goes to its own file, before the JSON that points at it, so
     # a steady_state.json always sits beside a complete spdm.npy.
     (out / "steady_state.json").unlink(missing_ok=True)
-    spdm = spdm_to_json(rho, out / "spdm.npy")
+    spdm = spdm_to_json(rho, system.index_map, out / "spdm.npy")
 
     payload = {
         "fingerprint": fingerprint,
@@ -188,8 +188,7 @@ def _run_sweep_command(args: argparse.Namespace, axis: str, command: str) -> int
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, None)
     t0 = time.perf_counter()
     table = read_sweep_csv(args.table)
     fit = fit_esaki_tsu(table)

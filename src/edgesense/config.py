@@ -292,8 +292,16 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
     sweep = None
     if sw is not None:
         sweep = SweepSettings(**sw)
-        if sweep.range is not None and sweep.range[1] < sweep.range[0]:
-            raise ConfigError("sweep.range: upper bound below lower bound")
+        if sweep.range is not None:
+            lo, hi = sweep.range
+            if hi < lo:
+                raise ConfigError("sweep.range: upper bound below lower bound")
+            # the grid runs from lo to hi in steps of step, so step must divide the span
+            n = (hi - lo) / sweep.step
+            if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n)):
+                raise ConfigError(
+                    f"sweep.step: {sweep.step!r} does not divide the range [{lo!r}, {hi!r}]"
+                )
 
     return RunConfig(
         lattice=LatticeSettings(**lat),

@@ -61,7 +61,6 @@ class SweepTable:
     carries on.
     """
 
-    axis_name: str
     axis_values: np.ndarray
     current: np.ndarray
     residuals: np.ndarray
@@ -177,7 +176,6 @@ _EDGE_SITES = 2
 
 def _run_sweep(
     cfg: RunConfig,
-    axis_name: str,
     axis: np.ndarray,
     gates: np.ndarray,
     kappas: np.ndarray,
@@ -233,7 +231,6 @@ def _run_sweep(
                 list(pool.map(run_row, range(n)))
 
     return SweepTable(
-        axis_name=axis_name,
         axis_values=axis,
         current=current,
         residuals=residual,
@@ -252,7 +249,7 @@ def sweep_gate(
     """Steady current versus gate offset at fixed decoherence rate."""
     kap = cfg.decoherence if kappa is None else float(kappa)
     gates = np.asarray(delta_values, dtype=float)
-    return _run_sweep(cfg, "delta", gates, gates, np.full(gates.size, kap), parallel)
+    return _run_sweep(cfg, gates, gates, np.full(gates.size, kap), parallel)
 
 
 def sweep_decoherence(
@@ -265,7 +262,7 @@ def sweep_decoherence(
     """Steady current versus decoherence rate at fixed gate offset."""
     kappas = np.asarray(kappa_values, dtype=float)
     gate = cfg.lattice.delta if delta is None else float(delta)
-    return _run_sweep(cfg, "kappa", kappas, np.full(kappas.size, gate), kappas, parallel)
+    return _run_sweep(cfg, kappas, np.full(kappas.size, gate), kappas, parallel)
 
 
 @dataclass(frozen=True)
@@ -483,7 +480,7 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     write_artifact_csv(path, table.config_fingerprint, names, zip(*columns))
 
 
-def read_sweep_csv(path: str | Path, axis_name: str = "axis") -> SweepTable:
+def read_sweep_csv(path: str | Path) -> SweepTable:
     """Reconstruct a SweepTable written by write_sweep_csv."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or not lines[0].startswith(CSV_HEADER_PREFIX):
@@ -510,7 +507,6 @@ def read_sweep_csv(path: str | Path, axis_name: str = "axis") -> SweepTable:
     data = np.asarray(rows, dtype=float)
     extras = {name: data[:, i] for i, name in enumerate(names) if i >= 3}
     return SweepTable(
-        axis_name=axis_name,
         axis_values=data[:, 0],
         current=data[:, 1],
         residuals=data[:, 2],

@@ -123,18 +123,16 @@ class IndexMap:
 
 @dataclass
 class CompositeSystem:
-    """Lattice + two leads, ready for the master equation.
+    """Lattice + two leads, holding what the master equation reads.
 
-    ``drive`` is the relaxation source gamma*target embedded in the full
-    index space; ``gamma_by_index`` is zero on lattice indices.
+    ``h_total`` holds the contact bonds too; ``drive`` is the relaxation
+    source gamma*target embedded in the full index space; ``gamma_by_index``
+    is zero on lattice indices.
     """
 
     h_total: np.ndarray
     index_map: IndexMap
-    epsilon: float
     lattice: Lattice
-    left: RingLead
-    right: RingLead
     target: np.ndarray
     drive: np.ndarray
     gamma_by_index: np.ndarray
@@ -220,10 +218,7 @@ def assemble_composite(
     sys = CompositeSystem(
         h_total=h,
         index_map=imap,
-        epsilon=epsilon,
         lattice=lat,
-        left=left,
-        right=right,
         target=target,
         drive=drive,
         gamma_by_index=gamma_by_index,

@@ -105,23 +105,6 @@ class SolverConfig:
 
 
 @dataclass
-class SPDM:
-    """Single-particle density matrix at a given time."""
-
-    matrix: np.ndarray
-    index_map: object = None
-    time: float = 0.0
-
-    def validate(self, tol: float = 1e-8) -> None:
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
-            raise ValueError("density matrix is not Hermitian")
-        ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if ev.min() < -tol or ev.max() > 1.0 + tol:
-            raise ValueError(f"occupations outside [0, 1]: [{ev.min():.3e}, {ev.max():.3e}]")
-
-
-@dataclass
 class SolveDiagnostics:
     method: SolverMethod
     iterations: int
@@ -143,10 +126,6 @@ class SolverError(RuntimeError):
 
 class DegenerateSteadyStateWarning(UserWarning):
     """The steady state is not unique; a minimal-norm representative is returned."""
-
-
-def _as_matrix(rho: SPDM | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, SPDM) else rho
 
 
 def _half_rates(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -196,7 +175,7 @@ def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], n
     return rhs
 
 
-def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float) -> np.ndarray:
+def apply_liouvillian(sys: CompositeSystem, rho: np.ndarray, kappa: float) -> np.ndarray:
     """Right-hand side of the closed single-particle master equation.
 
     Lead dissipator: relaxation of every element touching a lead index at
@@ -206,7 +185,7 @@ def apply_liouvillian(sys: CompositeSystem, rho: SPDM | np.ndarray, kappa: float
     Both, and the commutator with H, are -(A rho + rho A^dag), taken over
     the bonds of A (``_liouvillian``).
     """
-    return _liouvillian(sys, kappa)(_as_matrix(rho))
+    return _liouvillian(sys, kappa)(rho)
 
 
 def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float) -> float:
@@ -538,10 +517,10 @@ class _SylvesterFactorization:
     image of the + block under C x = c * conj(x), taken in the site basis:
     lam_- = conj(lam_+), Q_- V_- = c * conj(Q_+ V_+) and
     V_-^-1 Q_-^dag = conj(V_+^-1 Q_+^dag) * conj(c), the latter since C maps
-    the + block onto the - block unitarily.  ``eig_blocks`` lists the sizes of
-    the eigendecompositions run; ``rho_odd``, ``block_sizes`` and
-    ``lattice_mirror`` are those of ``_Sectors``.  ``lam`` concatenates the
-    eigenvalues, and ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
+    the + block onto the - block unitarily.  ``sectors`` is the ``_Sectors``
+    it reads, and ``eig_blocks`` lists the sizes of the eigendecompositions
+    run.  ``lam`` concatenates the eigenvalues, and
+    ``v = [Q_1 V_1, ...]`` and ``vinv = [V_1^-1 Q_1^dag; ...]``
     act in the site basis, so ``back(rotate(S))`` is the kept blocks'
     solution of A X + X A^dag = S, v ((vinv S vinv^dag) / D) v^dag with
     D_ab = lam_a + conj(lam_b); the source need not respect either symmetry.
@@ -562,16 +541,12 @@ class _SylvesterFactorization:
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
-        sectors = _sectors(sys)
+        self.sectors = sectors = _sectors(sys)
         self.kappa = kappa
         self.latt = np.flatnonzero(sys.lattice_mask)
-        self.rho_odd = sectors.rho_odd
-        self.lattice_mirror = sectors.lattice_mirror
-        self.block_sizes = sectors.block_sizes
-        self.contacts = sectors.contacts
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
         self.folded = z.imag == 0 and sectors.chiral is not None
-        size = sum(self.block_sizes)
+        size = sum(sectors.block_sizes)
         self.v = np.empty((sys.size, size), dtype=complex)
         self.vinv = np.empty((size, sys.size), dtype=complex)
         lams, eig_blocks, start = [], [], 0
@@ -665,9 +640,9 @@ class _SylvesterFactorization:
         """
         latt = self.latt
         nl = latt.size
-        mir = self.lattice_mirror
+        mir = self.sectors.lattice_mirror
         half = np.flatnonzero(mir >= np.arange(nl))
-        n_e = self.block_sizes[0]
+        n_e = self.sectors.block_sizes[0]
         e, o = slice(0, n_e), slice(n_e, None)
         v = self.v[latt[half]]
         v_e, v_o = np.ascontiguousarray(v[:, e]), np.ascontiguousarray(v[:, o])
@@ -694,7 +669,7 @@ class _SylvesterFactorization:
         m[np.ix_(mir[half], half)] = m[np.ix_(half, mir[half])] = minus
         # sum_b conj(h_b) X_j[c_b, r_b] = u_j^T G conj(u_j) with
         # G = inv_denom * sum_b conj(h_b) v[c_b]^T conj(v[r_b])
-        c, r, h_cr = self.contacts
+        c, r, h_cr = self.sectors.contacts
         g = (self.v[c].T * h_cr.conj()) @ self.v[r].conj()
         g *= self.inv_denom
         escape = np.empty(nl)
@@ -716,7 +691,7 @@ class _SylvesterFactorization:
         """
         m, escape = self.dephasing_map()
         k = -self.kappa * m
-        if self.contacts[0].size == 0:
+        if self.sectors.contacts[0].size == 0:
             k[np.diag_indices(self.latt.size)] += 1.0
             return k
         np.fill_diagonal(k, 0.0)
@@ -736,7 +711,7 @@ def _solve_sylvester(
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
     # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
     solves = fact.latt.size + 2 if kappa > 0 else 1
-    return fact.apply(sys.drive) + fact.rho_odd, solves, notes, fact.eig_blocks
+    return fact.apply(sys.drive) + fact.sectors.rho_odd, solves, notes, fact.eig_blocks
 
 
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -782,11 +757,13 @@ def solve_steady_state(
     sys: CompositeSystem,
     kappa: float,
     cfg: SolverConfig | None = None,
-) -> tuple[SPDM, SolveDiagnostics]:
+) -> tuple[np.ndarray, SolveDiagnostics]:
     """Find the stationary density matrix of the driven composite system.
 
-    Raises SolverError if the method finishes without meeting
-    cfg.residual_tol (measured as |d rho/dt|_inf over max(1, |target|_inf)).
+    Returns it as the complex N x N array in ``sys.index_map`` order, with
+    the solve's diagnostics.  Raises SolverError if the method finishes
+    without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
+    max(1, |target|_inf)).
     """
     cfg = cfg or SolverConfig()
     if kappa < 0:
@@ -824,20 +801,24 @@ def solve_steady_state(
             f"{cfg.method.value} finished with residual {res:.3e} > {cfg.residual_tol:.1e}",
             diag,
         )
-    return SPDM(matrix=m, index_map=sys.index_map, time=np.inf), diag
+    return m, diag
 
 
-def spdm_to_json(rho: SPDM, path: Path) -> dict:
-    """Write rho's matrix to ``path`` as ``.npy``; return the JSON object describing it.
+def validate_spdm(matrix: np.ndarray, tol: float = 1e-8) -> None:
+    """Raise ValueError unless the density matrix is Hermitian with occupations in [0, 1], to tol."""
+    if np.abs(matrix - matrix.conj().T).max() > tol:
+        raise ValueError("density matrix is not Hermitian")
+    ev = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
+    if ev.min() < -tol or ev.max() > 1.0 + tol:
+        raise ValueError(f"occupations outside [0, 1]: [{ev.min():.3e}, {ev.max():.3e}]")
+
+
+def spdm_to_json(matrix: np.ndarray, index_map: IndexMap, path: Path) -> dict:
+    """Write the density matrix to ``path`` as ``.npy``; return the JSON object describing it.
 
     The file holds one complex128 N x N array in C order, rows and columns in
-    ``index_map`` order, so ``np.load(path)`` is ``rho.matrix`` bit for bit.
+    ``index_map`` order, so ``np.load(path)`` is ``matrix`` bit for bit.
     """
-    m = rho.matrix
     with open(path, "wb") as f:
-        np.save(f, np.ascontiguousarray(m, dtype=complex))
-    return {
-        "N": m.shape[0],
-        "index_map": rho.index_map.labels() if rho.index_map is not None else None,
-        "file": Path(path).name,
-    }
+        np.save(f, np.ascontiguousarray(matrix, dtype=complex))
+    return {"N": matrix.shape[0], "index_map": index_map.labels(), "file": Path(path).name}

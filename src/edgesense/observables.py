@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leads import CompositeSystem, contact_bonds
-from .master_eq import SPDM, _as_matrix
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,7 @@ class CurrentProfile:
 
 
 def bond_current(
-    rho: SPDM | np.ndarray, sys: CompositeSystem, m: int | np.ndarray, n: int | np.ndarray
+    rho: np.ndarray, sys: CompositeSystem, m: int | np.ndarray, n: int | np.ndarray
 ) -> float | np.ndarray:
     """Particle current flowing from site n into site m.
 
@@ -36,24 +35,22 @@ def bond_current(
     given index arrays m and n of one shape, the array of the currents of
     the bonds (m[k], n[k]), each to the bit as it comes one bond at a time.
     """
-    mat = _as_matrix(rho)
-    h, x = sys.h_total[m, n], mat[n, m]
+    h, x = sys.h_total[m, n], rho[n, m]
     # 2 Im(h x), spelled out: numpy's complex product on arrays may fuse a
     # multiply-add that its product of two scalars does not
     j = 2.0 * (h.real * x.imag + h.imag * x.real)
     return float(j) if np.ndim(j) == 0 else j
 
 
-def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProfile:
+def current_profile(rho: np.ndarray, sys: CompositeSystem) -> CurrentProfile:
     """Currents through the two contacts and every internal cut of the device.
 
     The contacts are the bonds between the lattice and each lead that
     h_total holds (``contact_bonds``), so a contact moved off the end sites
     is still counted; a lead with no bond carries zero.  Every bond current
-    is taken in one call of ``bond_current`` over index arrays, and
-    ``np.add.reduceat`` sums each cut's bonds.  For the one or two bonds per
-    cut of the SSH and rhombic chains that is the order of a loop over the
-    bonds; a longer cut may differ from it in the last digit.
+    is taken in one call of ``bond_current`` over index arrays, and one
+    ``np.bincount`` sums each cut's bonds in bond order, as a loop over them
+    does.
     """
     imap = sys.index_map
     lattice = sys.lattice
@@ -69,10 +66,7 @@ def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProf
     n = np.concatenate((r[to_left], left, c[~to_left]))
     j = bond_current(rho, sys, m, n)
     counts = np.array([to_left.sum(), *(len(cut.bonds) for cut in lattice.cuts), (~to_left).sum()])
-    # np.add.reduceat gives an empty cut the next cut's first bond: sum the others alone
-    currents = np.zeros(counts.size)
-    full = counts > 0
-    currents[full] = np.add.reduceat(j, (np.cumsum(counts) - counts)[full])
+    currents = np.bincount(np.repeat(np.arange(counts.size), counts), j, minlength=counts.size)
 
     labels = (
         f"L|{lattice.site_labels[first]}",
@@ -88,10 +82,9 @@ def current_profile(rho: SPDM | np.ndarray, sys: CompositeSystem) -> CurrentProf
     )
 
 
-def site_populations(rho: SPDM | np.ndarray, sys: CompositeSystem) -> np.ndarray:
+def site_populations(rho: np.ndarray, sys: CompositeSystem) -> np.ndarray:
     """Occupation of each lattice site (leads excluded)."""
-    mat = _as_matrix(rho)
-    return np.real(np.diag(mat)[sys.index_map.lattice]).copy()
+    return np.real(np.diag(rho)[sys.index_map.lattice]).copy()
 
 
 def population_gradient(populations: np.ndarray, window: float = 0.6) -> float:

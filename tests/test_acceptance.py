@@ -323,7 +323,7 @@ def test_criterion_09_solver_oracle_equivalence():
         cfg = SolverConfig(method=method)
         rho, diag = solve_steady_state(system, 0.002, cfg)
         assert diag.residual < 1e-9, f"{method.value} residual {diag.residual:.2e}"
-        solutions[method] = rho.matrix
+        solutions[method] = rho
     wall = time.perf_counter() - t0
 
     pairs = list(solutions.values())

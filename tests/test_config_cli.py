@@ -163,6 +163,14 @@ REJECTIONS = {
         "log_range",
     ),
     "reversed-range": (_with("sweep", axis="delta", range=[1, 0], step=0.5), "sweep.range", "range"),
+    "step-not-dividing": (_with("sweep", axis="delta", range=[0, 1], step=0.4), "sweep.step", "0.4"),
+    "step-not-dividing-third": (
+        _with("sweep", axis="delta", range=[0, 1], step=0.3), "sweep.step", "0.3"
+    ),
+    "step-past-span": (_with("sweep", axis="delta", range=[0, 0.5], step=1), "sweep.step", "1"),
+    "span-overflows": (
+        _with("sweep", axis="delta", range=[-1e308, 1e308], step=1), "sweep.step", "divide"
+    ),
     # the other lattice kind's parameters, and ssh parity
     "foreign-phi": (_with("lattice", phi=3.0), "lattice.phi", "phi"),
     "foreign-termination": (_with("lattice", termination="arm"), "lattice.termination", "ssh"),
@@ -465,7 +473,7 @@ class TestCli:
         config = parse_config_dict(base_raw())
         with _one_blas_thread():
             rho, _ = solve_steady_state(config.build_system(), config.decoherence, config.solver)
-        assert saved.tobytes() == rho.matrix.tobytes()
+        assert saved.tobytes() == rho.tobytes()
         prof = (tmp_path / "o" / "profile.csv").read_text().splitlines()
         assert prof[1] == "cut,current"
         currents = [float(r.split(",")[1]) for r in prof[2:]]
@@ -479,7 +487,7 @@ class TestCli:
         raw = base_raw(sweep={"axis": "delta", "values": [-0.1, 0.0, 0.1]})
         cfg = write_cfg(tmp_path, raw)
         assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        table = read_sweep_csv(tmp_path / "o" / "sweep_gate.csv", axis_name="delta")
+        table = read_sweep_csv(tmp_path / "o" / "sweep_gate.csv")
         assert table.n_rows == 3
         assert table.config_fingerprint == parse_config_dict(raw).fingerprint()
         assert_allclose(table.column("converged"), np.ones(3), atol=0)
@@ -537,7 +545,7 @@ class TestCli:
         # sums of squares of currents near 1e200 overflow unless scaled first
         k = np.logspace(-3, 1, 20)
         table = SweepTable(
-            "kappa", k, 1e200 * k / (k**2 + 1e-2), np.zeros(20),
+            k, 1e200 * k / (k**2 + 1e-2), np.zeros(20),
             {"imbalance": np.zeros(20), "gradient": np.zeros(20), "converged": np.ones(20)},
         )
         out = tmp_path / "o"
@@ -552,7 +560,7 @@ class TestCli:
         # kappa^2 + c of about 1e-258 stays in range once kappa is scaled
         k = np.logspace(math.log10(1.3e-131), math.log10(7.1e-128), 12)
         table = SweepTable(
-            "kappa", k, 1e-3 * k / (k**2 + 1e-258), np.zeros(12),
+            k, 1e-3 * k / (k**2 + 1e-258), np.zeros(12),
             {"imbalance": np.zeros(12), "gradient": np.zeros(12), "converged": np.ones(12)},
         )
         out = tmp_path / "o"
@@ -579,7 +587,7 @@ class TestCli:
         j = a * k / (k**2 + c)
         n = k.size
         table = SweepTable(
-            "kappa", k, j, np.zeros(n),
+            k, j, np.zeros(n),
             {"imbalance": np.zeros(n), "gradient": np.zeros(n), "converged": np.ones(n)},
         )
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -39,7 +40,6 @@ def triangle_table(apex=1.0, baseline=0.2, half_width=0.5, lo=-1.0, hi=1.0):
     axis = np.round(np.arange(lo, hi + 0.025, 0.05), 10)
     js = baseline + apex * np.clip(1.0 - np.abs(axis) / half_width, 0.0, None)
     return SweepTable(
-        axis_name="delta",
         axis_values=axis,
         current=js,
         residuals=np.full(axis.size, 1e-9),
@@ -65,10 +65,9 @@ class TestConductionWindow:
 class TestSweepTable:
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError, match="column 'current'"):
-            SweepTable("x", np.arange(3.0), np.arange(4.0), np.arange(3.0))
+            SweepTable(np.arange(3.0), np.arange(4.0), np.arange(3.0))
         with pytest.raises(ValueError, match="column 'bad'"):
             SweepTable(
-                "x",
                 np.arange(3.0),
                 np.arange(3.0),
                 np.arange(3.0),
@@ -98,7 +97,7 @@ class TestPeakMetrics:
 
     def test_flat_data_has_no_peak(self):
         axis = np.linspace(-1, 1, 21)
-        t = SweepTable("delta", axis, np.full(21, 0.2), np.full(21, 1e-9))
+        t = SweepTable(axis, np.full(21, 0.2), np.full(21, 1e-9))
         assert peak_metrics(t, window=(-0.5, 0.5)) is None
 
     def test_exclusion_protects_the_baseline(self):
@@ -120,7 +119,7 @@ class TestPeakMetrics:
         axis = np.linspace(0, 1, 8)
         js = np.full(8, np.nan)
         js[:4] = 1.0
-        t = SweepTable("delta", axis, js, np.full(8, 1e-9))
+        t = SweepTable(axis, js, np.full(8, 1e-9))
         with pytest.raises(ValueError, match="too few converged"):
             peak_metrics(t)
 
@@ -128,7 +127,7 @@ class TestPeakMetrics:
 class TestEsakiTsuFit:
     def test_exact_recovery(self):
         k = np.logspace(-3, 1, 20)
-        t = SweepTable("kappa", k, 2.0 * k / (k**2 + 0.25), np.zeros(20))
+        t = SweepTable(k, 2.0 * k / (k**2 + 0.25), np.zeros(20))
         fit = fit_esaki_tsu(t)
         assert_allclose(fit.a, 2.0, rtol=1e-6)
         assert_allclose(fit.c, 0.25, rtol=1e-6)
@@ -149,14 +148,14 @@ class TestEsakiTsuFit:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             noisy = truth * (1.0 + 0.01 * rng.standard_normal(30))
-            fit = fit_esaki_tsu(SweepTable("kappa", k, noisy, np.zeros(30)))
+            fit = fit_esaki_tsu(SweepTable(k, noisy, np.zeros(30)))
             assert abs(fit.a / 0.8 - 1.0) < 0.05
             assert abs(fit.c / 0.01 - 1.0) < 0.05
             assert 0.0005 < fit.relative_residual < 0.05
 
     def test_negative_branch_is_flipped(self):
         k = np.logspace(-3, 1, 20)
-        t = SweepTable("kappa", k, -2.0 * k / (k**2 + 0.25), np.zeros(20))
+        t = SweepTable(k, -2.0 * k / (k**2 + 0.25), np.zeros(20))
         fit = fit_esaki_tsu(t)
         assert fit.a > 0 and fit.c > 0
         assert_allclose(fit.c, 0.25, rtol=1e-6)
@@ -165,8 +164,8 @@ class TestEsakiTsuFit:
         # power-of-two scaling is exact: currents of 1e-170 fit as well as those of 1
         k = np.logspace(-3, 1, 20)
         j = k / (k**2 + 0.25)
-        unit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(20)))
-        tiny = fit_esaki_tsu(SweepTable("kappa", k, 1e-170 * j, np.zeros(20)))
+        unit = fit_esaki_tsu(SweepTable(k, j, np.zeros(20)))
+        tiny = fit_esaki_tsu(SweepTable(k, 1e-170 * j, np.zeros(20)))
         assert_allclose(tiny.a, 1e-170 * unit.a, rtol=1e-12)
         assert_allclose(tiny.c, unit.c, rtol=1e-12)
         assert_allclose(tiny.relative_residual, unit.relative_residual, rtol=1e-12, atol=1e-15)
@@ -175,15 +174,15 @@ class TestEsakiTsuFit:
     def test_refusals(self):
         wide = np.logspace(-300, 300, 12)
         with pytest.raises(ValueError, match="spans too many decades"):
-            fit_esaki_tsu(SweepTable("kappa", wide, np.ones(12), np.zeros(12)))
+            fit_esaki_tsu(SweepTable(wide, np.ones(12), np.zeros(12)))
         # j = kappa rises over the whole sweep: the peak lies far above it
         k = np.logspace(-3, 1, 20)
         with pytest.raises(ValueError, match="more than a decade outside"):
-            fit_esaki_tsu(SweepTable("kappa", k, k, np.zeros(20)))
+            fit_esaki_tsu(SweepTable(k, k, np.zeros(20)))
         # the best c is near (1e161.5)^2, above the largest float
         huge = np.logspace(160, 163, 20)
         with pytest.raises(ValueError, match="outside the float range once unscaled"):
-            fit_esaki_tsu(SweepTable("kappa", huge, np.ones(20), np.zeros(20)))
+            fit_esaki_tsu(SweepTable(huge, np.ones(20), np.zeros(20)))
 
     def test_exact_data_recovered_at_any_scale(self):
         # seeded sample: kappa and j scales from 1e-150 to 1e150, peak inside the sweep
@@ -194,7 +193,7 @@ class TestEsakiTsuFit:
             peak = k.min() * (k.max() / k.min()) ** rng.uniform(0.1, 0.9)
             jmax = 10.0 ** rng.uniform(-150, 150)
             j = jmax * (2 * peak * k / (k**2 + peak**2))
-            fit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(k.size)))
+            fit = fit_esaki_tsu(SweepTable(k, j, np.zeros(k.size)))
             assert_allclose([fit.a, fit.c], [2 * peak * jmax, peak**2], rtol=1e-9)
 
     def test_noisy_fit_no_worse_than_a_dense_scan(self):
@@ -207,7 +206,7 @@ class TestEsakiTsuFit:
             peak = k.min() * (k.max() / k.min()) ** rng.uniform(0.1, 0.9)
             noise = (1e-3, 0.05)[i % 2]
             j = k / (k**2 + peak**2) * (1 + noise * rng.standard_normal(k.size))
-            fit = fit_esaki_tsu(SweepTable("kappa", k, j, np.zeros(k.size)))
+            fit = fit_esaki_tsu(SweepTable(k, j, np.zeros(k.size)))
             c = np.logspace(
                 2 * math.log10(k.min() / 10), 2 * math.log10(10 * k.max()), 20001
             )[:, None]
@@ -219,19 +218,19 @@ class TestEsakiTsuFit:
     def test_validation(self):
         k5 = np.logspace(-2, 1, 5)
         with pytest.raises(ValueError, match="at least 6"):
-            fit_esaki_tsu(SweepTable("kappa", k5, k5, np.zeros(5)))
+            fit_esaki_tsu(SweepTable(k5, k5, np.zeros(5)))
         k_narrow = np.logspace(-2, -0.5, 10)
         with pytest.raises(ValueError, match="two decades"):
-            fit_esaki_tsu(SweepTable("kappa", k_narrow, k_narrow, np.zeros(10)))
+            fit_esaki_tsu(SweepTable(k_narrow, k_narrow, np.zeros(10)))
         k = np.logspace(-3, 1, 10)
         with pytest.raises(ValueError, match="positive"):
-            fit_esaki_tsu(SweepTable("kappa", k - k[4], np.ones(10), np.zeros(10)))
+            fit_esaki_tsu(SweepTable(k - k[4], np.ones(10), np.zeros(10)))
         with pytest.raises(ValueError, match="positive and finite"):
-            fit_esaki_tsu(SweepTable("kappa", np.append(k[:-1], np.inf), np.ones(10), np.zeros(10)))
+            fit_esaki_tsu(SweepTable(np.append(k[:-1], np.inf), np.ones(10), np.zeros(10)))
         mixed = np.ones(10)
         mixed[3] = -1.0
         with pytest.raises(ValueError, match="one sign"):
-            fit_esaki_tsu(SweepTable("kappa", k, mixed, np.zeros(10)))
+            fit_esaki_tsu(SweepTable(k, mixed, np.zeros(10)))
         with pytest.raises(ValueError, match="must be positive"):
             EsakiTsuFit(a=-1.0, c=0.1, relative_residual=0.0)
 
@@ -239,7 +238,6 @@ class TestEsakiTsuFit:
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         t = SweepTable(
-            "delta",
             np.linspace(-0.4, 0.4, 9),
             np.sin(np.linspace(0, 3, 9)) * 1e-4,
             np.full(9, 2.5e-10),
@@ -256,14 +254,28 @@ class TestCsvRoundTrip:
         assert lines[0] == CSV_HEADER_PREFIX + "f" * 64
         assert lines[1] == "axis,current,residual,imbalance,gradient,converged"
         assert len(lines) == 11
-        back = read_sweep_csv(path, axis_name="delta")
+        back = read_sweep_csv(path)
         assert back.config_fingerprint == "f" * 64
         assert list(back.extra_columns) == ["imbalance", "gradient", "converged"]
         for name in ("axis", "current", "residual", "imbalance", "gradient"):
             assert_allclose(back.column(name), t.column(name), rtol=1e-11)
+        # a table the library wrote reads back field by field, to the CSV's 12 digits
+        swept = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], kappa=0.002)
+        write_sweep_csv(swept, path)
+        back = read_sweep_csv(path)
+        for f in dataclasses.fields(SweepTable):
+            got, want = getattr(back, f.name), getattr(swept, f.name)
+            if isinstance(want, dict):
+                assert list(got) == list(want)
+                for name in want:
+                    assert_allclose(got[name], want[name], rtol=1e-11, atol=0, err_msg=name)
+            elif isinstance(want, np.ndarray):
+                assert_allclose(got, want, rtol=1e-11, atol=0, err_msg=f.name)
+            else:
+                assert got == want, f.name
 
     def test_twelve_significant_digits(self, tmp_path):
-        t = SweepTable("x", np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), np.array([0.0]))
+        t = SweepTable(np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), np.array([0.0]))
         path = tmp_path / "digits.csv"
         write_sweep_csv(t, path)
         assert path.read_text().splitlines()[2] == "0.333333333333,0.666666666667,0"
@@ -299,7 +311,6 @@ class TestSweeps:
     def test_gate_sweep_structure(self):
         cfg = small_cfg()
         t = sweep_gate(cfg, [-0.1, 0.0, 0.1], kappa=0.002)
-        assert t.axis_name == "delta"
         assert t.n_rows == 3
         assert t.config_fingerprint == cfg.fingerprint()
         assert_allclose(t.column("converged"), np.ones(3), atol=0)
@@ -316,7 +327,6 @@ class TestSweeps:
         cfg = small_cfg()
         a = sweep_decoherence(cfg, [0.01], delta=0.3)
         b = sweep_gate(cfg, [0.3], kappa=0.01)
-        assert a.axis_name == "kappa"
         assert_allclose(a.current, b.current, rtol=1e-10)
 
     def test_parallel_chunks_change_nothing(self):

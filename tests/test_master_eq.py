@@ -15,7 +15,6 @@ from edgesense.experiments import _one_blas_thread, sweep_decoherence, sweep_gat
 from edgesense.lattice import build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite, contact_bonds
 from edgesense.master_eq import (
-    SPDM,
     DegenerateSteadyStateWarning,
     SolverConfig,
     SolverError,
@@ -25,6 +24,7 @@ from edgesense.master_eq import (
     build_superoperator,
     solve_steady_state,
     spdm_to_json,
+    validate_spdm,
     _SylvesterFactorization,
 )
 from edgesense.observables import current_profile
@@ -51,10 +51,7 @@ def dephasing_free_system(n_lattice=2, ring=4):
     return CompositeSystem(
         h_total=np.zeros((n, n), dtype=complex),
         index_map=imap,
-        epsilon=0.0,
         lattice=None,
-        left=None,
-        right=None,
         target=np.zeros((n, n), dtype=complex),
         drive=np.zeros((n, n), dtype=complex),
         gamma_by_index=np.zeros(n),
@@ -122,15 +119,14 @@ class TestGenerator:
 
 class TestPropagate:
     def test_zero_time_is_identity(self, small_system):
-        rho0 = SPDM(matrix=random_hermitian(20, seed=5), time=1.5)
+        rho0 = random_hermitian(20, seed=5)
         out = propagate(small_system, rho0, 0.1, 0.0)
-        assert out.time == 1.5
-        assert_allclose(out.matrix, rho0.matrix, atol=0)
-        assert out.matrix is not rho0.matrix
+        assert_allclose(out, rho0, atol=0)
+        assert out is not rho0
 
     def test_negative_time_rejected(self, small_system):
         with pytest.raises(ValueError, match="non-negative"):
-            propagate(small_system, SPDM(matrix=np.zeros((20, 20))), 0.0, -1.0)
+            propagate(small_system, np.zeros((20, 20)), 0.0, -1.0)
 
     def test_lead_relaxation_rate(self):
         # with epsilon=0 a lead-block deviation decays as exp(-gamma t) in
@@ -141,8 +137,8 @@ class TestPropagate:
         rho0 = sys.target.copy()
         rho0[m.left, m.left] += delta
         t = 7.0
-        out = propagate(sys, SPDM(matrix=rho0), 0.0, t, step_tol=1e-12)
-        dev = out.matrix - sys.target
+        out = propagate(sys, rho0, 0.0, t, step_tol=1e-12)
+        dev = out - sys.target
         assert np.abs(dev[m.lattice, m.lattice]).max() < 1e-10
         norm = np.linalg.norm(dev[m.left, m.left])
         assert_allclose(norm, math.exp(-0.05 * t) * np.linalg.norm(delta), rtol=1e-6)
@@ -152,14 +148,14 @@ class TestPropagate:
         m = sys.index_map
         kappa, t = 0.8, 2.5
         rho0 = random_hermitian(sys.size, seed=21)
-        out = propagate(sys, SPDM(matrix=rho0), kappa, t, step_tol=1e-12)
+        out = propagate(sys, rho0, kappa, t, step_tol=1e-12)
         chi = sys.lattice_mask.astype(float)
         decay = np.exp(-0.5 * kappa * t * (chi[:, None] + chi[None, :]))
         expected = rho0 * decay
         # the lattice diagonal is immune: dephasing only kills coherences
         for p in range(m.n_lattice):
             expected[p, p] = rho0[p, p]
-        assert_allclose(out.matrix, expected, atol=1e-9)
+        assert_allclose(out, expected, atol=1e-9)
 
     def test_long_march_reaches_steady_state(self):
         # strong contact and lead relaxation: every mode damps at >= 0.075,
@@ -167,16 +163,15 @@ class TestPropagate:
         sys = make_ssh_system(gamma=0.4, epsilon=1.0)
         cfg = SolverConfig(method=SolverMethod.FULL_LINEAR)
         exact, _ = solve_steady_state(sys, 0.01, cfg)
-        out = propagate(sys, SPDM(matrix=sys.target.copy()), 0.01, 400.0)
-        assert_allclose(out.matrix, exact.matrix, atol=1e-8)
+        out = propagate(sys, sys.target.copy(), 0.01, 400.0)
+        assert_allclose(out, exact, atol=1e-8)
 
     def test_trajectory_stays_physical(self, small_system):
-        state = SPDM(matrix=small_system.target.copy())
+        state = small_system.target.copy()
         for _ in range(3):
             state = propagate(small_system, state, 0.01, 5.0)
-            assert_allclose(state.matrix, state.matrix.conj().T, atol=1e-14)
-            state.validate(tol=1e-6)
-        assert state.time == pytest.approx(15.0)
+            assert_allclose(state, state.conj().T, atol=1e-14)
+            validate_spdm(state, tol=1e-6)
 
 
 class TestSteadyState:
@@ -190,7 +185,7 @@ class TestSteadyState:
             assert d2.method is SolverMethod.FULL_LINEAR
             assert d1.converged and d2.converged
             assert d1.residual < 1e-9 and d2.residual < 1e-9
-            assert_allclose(syl.matrix, full.matrix, atol=1e-9)
+            assert_allclose(syl, full, atol=1e-9)
 
     def test_time_march_unique_limit(self):
         # marching from the thermal target and from the empty state must
@@ -198,16 +193,16 @@ class TestSteadyState:
         # every mode of this system damps at >= 0.075, so t=400 suffices
         sys = make_ssh_system(gamma=0.4, epsilon=1.0)
         ref, _ = solve_steady_state(sys, 0.01)
-        a = propagate(sys, SPDM(matrix=sys.target.copy()), 0.01, 400.0)
-        b = propagate(sys, SPDM(matrix=np.zeros_like(sys.target)), 0.01, 400.0)
-        assert_allclose(a.matrix, b.matrix, atol=1e-8)
-        assert_allclose(a.matrix, ref.matrix, atol=1e-8)
+        a = propagate(sys, sys.target.copy(), 0.01, 400.0)
+        b = propagate(sys, np.zeros_like(sys.target), 0.01, 400.0)
+        assert_allclose(a, b, atol=1e-8)
+        assert_allclose(a, ref, atol=1e-8)
 
     def test_infinite_temperature_gives_half_filling(self):
         sys = make_ssh_system(beta=0.0)
         for kappa in (0.0, 0.05):
             rho, _ = solve_steady_state(sys, kappa)
-            assert_allclose(rho.matrix, 0.5 * np.eye(20), atol=1e-10)
+            assert_allclose(rho, 0.5 * np.eye(20), atol=1e-10)
 
     def test_dark_sector_minimal_norm(self):
         # at flux pi every rhombic eigenstate is caged, so undamped pairs
@@ -218,7 +213,7 @@ class TestSteadyState:
             rho, diag = solve_steady_state(sys, 0.0)
         assert diag.converged
         assert diag.residual < 1e-9
-        rho.validate(tol=1e-6)
+        validate_spdm(rho, tol=1e-6)
 
     @pytest.mark.parametrize(
         "cells, ring, gate",
@@ -236,8 +231,8 @@ class TestSteadyState:
         with pytest.warns(DegenerateSteadyStateWarning, match="generator is singular"):
             full, diag = solve_steady_state(sys, 0.0, FULL)
         assert diag.converged
-        full.validate()
-        assert np.abs(full.matrix - syl.matrix).max() <= 1e-10
+        validate_spdm(full)
+        assert np.abs(full - syl).max() <= 1e-10
 
     def test_disconnected_device_warns(self):
         sys = make_ssh_system(epsilon=0.0)
@@ -245,9 +240,9 @@ class TestSteadyState:
             solve_steady_state(sys, 0.01)
 
     def test_device_without_contact_bonds_warns(self):
-        # epsilon stays 0.2, but h_total holds no bond between the lattice and
-        # the leads, so the lattice's state is not unique; with one contact
-        # left the lattice relaxes into that lead and nothing warns
+        # assembled at epsilon 0.2, but h_total holds no bond between the
+        # lattice and the leads, so the lattice's state is not unique; with
+        # one contact left the lattice relaxes into that lead and nothing warns
         sys = make_ssh_system()
         c, r, _ = contact_bonds(sys)
         assert c.size == 2
@@ -273,7 +268,7 @@ class TestSteadyState:
             SolverConfig(residual_tol=-1e-9)
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=0.0)
-        rho0 = SPDM(matrix=small_system.target.copy())
+        rho0 = small_system.target.copy()
         for step in ({"dt": 0.0}, {"step_tol": -1e-10}, {"max_iters": 0}):
             with pytest.raises(ValueError, match="must be positive"):
                 propagate(small_system, rho0, 0.0, 1.0, **step)
@@ -304,18 +299,17 @@ class TestSteadyState:
             small_system, target=2.5 * small_system.target, drive=2.5 * small_system.drive
         )
         rho2, _ = solve_steady_state(scaled, 0.003)
-        assert_allclose(rho2.matrix, 2.5 * rho1.matrix, atol=1e-10)
+        assert_allclose(rho2, 2.5 * rho1, atol=1e-10)
 
     def test_solution_is_stationary_and_physical(self, small_system):
         rho, diag = solve_steady_state(small_system, 0.002)
-        assert np.abs(apply_liouvillian(small_system, rho.matrix, 0.002)).max() < 1e-9
-        rho.validate(tol=1e-8)
-        assert rho.time == np.inf
+        assert np.abs(apply_liouvillian(small_system, rho, 0.002)).max() < 1e-9
+        validate_spdm(rho, tol=1e-8)
         assert diag.wall_time >= 0.0
 
     def test_spdm_json_payload(self, small_system, tmp_path):
         rho, _ = solve_steady_state(small_system, 0.0)
-        payload = spdm_to_json(rho, tmp_path / "spdm.npy")
+        payload = spdm_to_json(rho, small_system.index_map, tmp_path / "spdm.npy")
         assert payload == {
             "N": 20,
             "index_map": ["lattice"] * 4 + ["left_lead"] * 8 + ["right_lead"] * 8,
@@ -325,10 +319,7 @@ class TestSteadyState:
         saved = np.load(tmp_path / "spdm.npy")
         assert saved.dtype == np.complex128 and saved.shape == (20, 20)
         assert saved.flags.c_contiguous
-        assert saved.tobytes() == rho.matrix.tobytes()
-        bare = spdm_to_json(SPDM(matrix=np.eye(2, dtype=complex)), tmp_path / "bare.npy")
-        assert bare["index_map"] is None
-        assert np.load(tmp_path / "bare.npy").tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert saved.tobytes() == rho.tobytes()
 
 
 def two_ring_system(m_left, m_right, beta=np.inf):
@@ -435,15 +426,15 @@ class TestCoupledSector:
         for kappa in (0.0, 0.01, 3.0):
             fact = _SylvesterFactorization(sys, kappa)
             assert fact.v.shape == (sys.size, n_e)
-            assert fact.block_sizes == blocks
+            assert fact.sectors.block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
             full, _ = solve_quietly(sys, kappa, FULL)
-            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert_allclose(rho, full, atol=1e-10)
             assert diag.residual < 1e-12
             assert diag.iterations == (4 + 2 if kappa > 0 else 1)
             # the decoupled block is the target's, and it does not mix
-            assert_allclose(p_odd @ rho.matrix @ p_odd, p_odd @ sys.target @ p_odd, atol=1e-12)
-            assert np.abs((np.eye(sys.size) - p_odd) @ rho.matrix @ p_odd).max() < 1e-12
+            assert_allclose(p_odd @ rho @ p_odd, p_odd @ sys.target @ p_odd, atol=1e-12)
+            assert np.abs((np.eye(sys.size) - p_odd) @ rho @ p_odd).max() < 1e-12
 
     @pytest.mark.parametrize(
         "name",
@@ -464,7 +455,7 @@ class TestCoupledSector:
             assert _SylvesterFactorization(sys, kappa).v.shape == (sys.size, sys.size)
             rho, diag = solve_quietly(sys, kappa)
             full, _ = solve_quietly(sys, kappa, FULL)
-            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert_allclose(rho, full, atol=1e-10)
             assert diag.converged
             assert diag.iterations == (4 + 2 if kappa > 0 else 1)
 
@@ -519,15 +510,15 @@ class TestSiteGauge:
         rho_g, diag_g = solve_quietly(sys_g, 0.01)
         assert master_eq._sectors(sys_g).block_sizes == master_eq._sectors(sys).block_sizes
         assert diag_g.eig_blocks == diag.eig_blocks
-        assert np.abs(rho_g.matrix - u[:, None] * rho.matrix * u.conj()).max() <= 1e-12
+        assert np.abs(rho_g - u[:, None] * rho * u.conj()).max() <= 1e-12
 
     def test_gauged_system_splits_to_the_oracle(self):
         sys = gauged(make_ssh_system(), random_phases(20, seed=12))
         for kappa in (0.0, 0.01):
-            assert _SylvesterFactorization(sys, kappa).block_sizes == (7, 7)
+            assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == (7, 7)
             rho, _ = solve_quietly(sys, kappa)
             full, _ = solve_quietly(sys, kappa, FULL)
-            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert_allclose(rho, full, atol=1e-10)
 
 
 def mirror_test_system(name):
@@ -696,7 +687,7 @@ class TestMirrorSector:
     def test_shipped_block_sizes(self, fig, blocks):
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         fact = _SylvesterFactorization(cfg.build_system(), 0.001)
-        assert fact.block_sizes == blocks
+        assert fact.sectors.block_sizes == blocks
         assert fact.eig_blocks == SHIPPED_EIG_BLOCKS[fig]
         assert fact.lam.shape == (sum(blocks),)
 
@@ -707,11 +698,11 @@ class TestMirrorSector:
         blocks, eig_blocks, kappas = MIRROR_CASES[name]
         sys = mirror_test_system(name)
         for kappa in kappas:
-            assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
+            assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
             assert diag.eig_blocks == eig_blocks
             full, _ = solve_quietly(sys, kappa, FULL)
-            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert_allclose(rho, full, atol=1e-10)
             assert diag.residual < 1e-12
 
     @pytest.mark.parametrize(
@@ -736,7 +727,7 @@ class TestMirrorSector:
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         sys = cfg.build_system(gate=gate)
         blocks = SHIPPED_BLOCKS[fig]
-        assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
+        assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == blocks
         rho, diag = solve_quietly(sys, kappa)
         # the SSH chain folds at gate 0 alone
         assert diag.eig_blocks == (blocks[:1] if gate == 0.0 else blocks)
@@ -748,7 +739,7 @@ class TestMirrorSector:
         unfolded = current_profile(rho, sys)
         monkeypatch.setattr(master_eq, "_mirror_split", one_block)
         sys = cfg.build_system(gate=gate)
-        assert _SylvesterFactorization(sys, kappa).block_sizes == (sum(blocks),)
+        assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == (sum(blocks),)
         whole = current_profile(solve_quietly(sys, kappa)[0], sys)
         for reference in (unfolded, whole):
             assert abs(split.mean - reference.mean) <= 1e-9 * abs(reference.mean)
@@ -766,10 +757,10 @@ class TestMirrorSector:
         sys = cfg.build_system()
         rho = solve_quietly(sys, kappa)[0]
         split = current_profile(rho, sys)
-        exact = current_profile(SPDM(refined(sys, kappa, rho.matrix)), sys).mean
+        exact = current_profile(refined(sys, kappa, rho), sys).mean
         monkeypatch.setattr(master_eq, "_mirror_split", one_block)
         whole_sys = cfg.build_system()
-        assert _SylvesterFactorization(whole_sys, kappa).block_sizes == (88,)
+        assert _SylvesterFactorization(whole_sys, kappa).sectors.block_sizes == (88,)
         whole = current_profile(solve_quietly(whole_sys, kappa)[0], whole_sys).mean
         assert abs(split.mean - exact) <= abs(whole - exact)
         assert split.max_deviation <= 1e-6 * abs(split.mean)
@@ -804,9 +795,9 @@ class TestMirrorSector:
             latt = np.flatnonzero(sys.lattice_mask)
             leads = ~sys.lattice_mask
             if name == "rhombic-unequal-flux":
-                assert fact.block_sizes == (16,)
+                assert fact.sectors.block_sizes == (16,)
             else:
-                assert len(fact.block_sizes) == 2
+                assert len(fact.sectors.block_sizes) == 2
             direct = np.empty((latt.size, latt.size))
             relaxed = np.empty(latt.size)
             for j, site in enumerate(latt):
@@ -899,7 +890,7 @@ class TestChiralFold:
         assert fact.folded
         c = master_eq._sectors(sys).chiral
         assert np.abs(np.abs(c) - 1.0).max() <= 1e-15
-        n_e = fact.block_sizes[0]
+        n_e = fact.sectors.block_sizes[0]
         plus, minus = slice(0, n_e), slice(n_e, None)
         assert fact.lam[minus].tobytes() == fact.lam[plus].conj().tobytes()
         assert fact.v[:, minus].tobytes() == (c[:, None] * fact.v[:, plus].conj()).tobytes()
@@ -1040,7 +1031,7 @@ class TestSharedSectors:
         fresh.h_total[1, 2] = fresh.h_total[2, 1] = -0.9
         full, _ = solve_steady_state(fresh, 0.01, FULL)
         rho, _ = solve_steady_state(dataclasses.replace(sys), 0.01)
-        assert np.abs(rho.matrix - full.matrix).max() <= 1e-10
+        assert np.abs(rho - full).max() <= 1e-10
 
     @pytest.mark.parametrize("name", ["unequal-gammas", "custom-onsite"])
     def test_replace_rederives_the_structure(self, name):
@@ -1054,16 +1045,11 @@ class TestSharedSectors:
             lattice = build_custom(-0.5 * (np.eye(4, k=1) + np.eye(4, k=-1)))
         sys = assemble_composite(lattice, *leads, 0.2)
         solve_quietly(sys, 0.01)
-        assert _SylvesterFactorization(sys, 0.01).block_sizes == (5, 5)
+        assert _SylvesterFactorization(sys, 0.01).sectors.block_sizes == (5, 5)
         if name == "unequal-gammas":
             gamma = sys.gamma_by_index.copy()
             gamma[sys.index_map.right] = 0.08
-            sys = dataclasses.replace(
-                sys,
-                right=dataclasses.replace(sys.right, gamma=0.08),
-                gamma_by_index=gamma,
-                drive=gamma[:, None] * sys.target,
-            )
+            sys = dataclasses.replace(sys, gamma_by_index=gamma, drive=gamma[:, None] * sys.target)
         else:
             h = sys.h_total.copy()
             h[1, 1] += 0.1
@@ -1074,10 +1060,10 @@ class TestSharedSectors:
         blocks, _, kappas = MIRROR_CASES[name]
         assert blocks == (10,)
         for kappa in kappas:
-            assert _SylvesterFactorization(sys, kappa).block_sizes == blocks
+            assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == blocks
             rho, _ = solve_quietly(sys, kappa)
             full, _ = solve_quietly(sys, kappa, FULL)
-            assert_allclose(rho.matrix, full.matrix, atol=1e-10)
+            assert_allclose(rho, full, atol=1e-10)
 
 
 def kappa_derivative(sys, kappa):
@@ -1086,7 +1072,7 @@ def kappa_derivative(sys, kappa):
     Differentiating L(kappa) rho = -drive gives L rho' = -D rho with
     D rho = diag_P(rho) - (P rho + rho P)/2, P the lattice projector.
     """
-    rho = solve_quietly(sys, kappa)[0].matrix
+    rho = solve_quietly(sys, kappa)[0]
     fact = _SylvesterFactorization(sys, kappa)
     p = sys.lattice_mask.astype(float)
     source = -0.5 * (p[:, None] * rho + rho * p)

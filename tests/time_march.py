@@ -8,7 +8,7 @@ compare where it settles with the solvers' states.
 import numpy as np
 
 from edgesense.leads import CompositeSystem
-from edgesense.master_eq import SPDM, SolverError, _as_matrix, _liouvillian
+from edgesense.master_eq import SolverError, _liouvillian
 
 # Cash-Karp embedded Runge-Kutta 5(4) tableau
 _CK_A = (
@@ -25,14 +25,14 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 def propagate(
     sys: CompositeSystem,
-    rho0: SPDM,
+    rho0: np.ndarray,
     kappa: float,
     t_final: float,
     *,
     dt: float = 0.05,
     step_tol: float = 1e-10,
     max_iters: int = 2_000_000,
-) -> SPDM:
+) -> np.ndarray:
     """Propagate rho0 forward by t_final with an adaptive embedded RK5(4).
 
     dt is the first step, step_tol the local truncation error allowed per
@@ -45,9 +45,9 @@ def propagate(
         raise ValueError("t_final must be non-negative")
     if dt <= 0 or step_tol <= 0 or max_iters < 1:
         raise ValueError("dt, step_tol and max_iters must be positive")
-    m = _as_matrix(rho0).astype(complex).copy()
+    m = rho0.astype(complex)
     if t_final == 0:
-        return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time)
+        return m
 
     rhs = _liouvillian(sys, kappa)
     t = 0.0
@@ -79,4 +79,4 @@ def propagate(
         attempts += 1
         if attempts > max_iters:
             raise SolverError(f"exceeded max_iters={max_iters} RK step attempts")
-    return SPDM(matrix=m, index_map=sys.index_map, time=rho0.time + t_final)
+    return m

@@ -28,8 +28,10 @@ value is "identical" or a report of what differs:
 
 Each command adds "<config>/<command>": {"exit": [parent, change], "stderr":
 [parent, change]}, also where both sides exit alike, so a command that fails
-in both checkouts shows.  The outputs go to a temporary directory, removed at
-the end.
+in both checkouts shows.  Each side's stderr writes its checkout root as
+``<root>`` and its output directory as ``<out>``, so a warning that names the
+source line it comes from reads alike on both sides.  The outputs go to a
+temporary directory, removed at the end.
 """
 
 from __future__ import annotations
@@ -64,17 +66,19 @@ def run_commands(root: Path, name: str, out: Path) -> dict[str, tuple[int, str]]
     out.mkdir(parents=True)
     for argv in commands:
         argv = [*argv, "--config", str(config), "--out", str(out)]
-        results[argv[0]] = run(argv, env, out)
+        results[argv[0]] = run(argv, env, root, out)
     if (out / "sweep_kappa.csv").exists():
-        results["fit"] = run(["fit", str(out / "sweep_kappa.csv"), "--out", str(out)], env, out)
+        argv = ["fit", str(out / "sweep_kappa.csv"), "--out", str(out)]
+        results["fit"] = run(argv, env, root, out)
     return results
 
 
-def run(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[int, str]:
+def run(argv: list[str], env: dict[str, str], root: Path, out: Path) -> tuple[int, str]:
+    """(exit code, stderr) of one command run in out; stderr names root and out as <root>, <out>."""
     proc = subprocess.run(
-        [sys.executable, "-m", "edgesense", *argv], env=env, cwd=cwd, capture_output=True, text=True
+        [sys.executable, "-m", "edgesense", *argv], env=env, cwd=out, capture_output=True, text=True
     )
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr.replace(str(out), "<out>").replace(str(root), "<root>")
 
 
 def rel(a: object, b: object) -> float | None:

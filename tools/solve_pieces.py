@@ -80,7 +80,7 @@ def main() -> int:
         pieces = {
             "floor_ms": lambda: floor(sys_, kappa, fact),
             "factorization_ms": lambda: master_eq._SylvesterFactorization(sys_, kappa),
-            "residual_ms": lambda: master_eq._residual(sys_, rho.matrix, kappa),
+            "residual_ms": lambda: master_eq._residual(sys_, rho, kappa),
             "solve_ms": lambda: master_eq.solve_steady_state(sys_, kappa),
         }
         if kappa > 0:
