@@ -21,7 +21,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, apply_overrides, parse_config_dict
 from .experiments import (
     _fmt,
-    _one_blas_thread,
     fit_esaki_tsu,
     read_sweep_csv,
     sweep_decoherence,
@@ -109,11 +108,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     t0 = time.perf_counter()
-    with _one_blas_thread():
-        system = cfg.build_system()
-        rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)
-        profile = current_profile(rho, system)
-        pops = site_populations(rho, system)
+    system = cfg.build_system()
+    rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)
+    profile = current_profile(rho, system)
+    pops = site_populations(rho, system)
     wall = time.perf_counter() - t0
     fingerprint = cfg.fingerprint()
     # The matrix goes to its own file, before the JSON that points at it, so

@@ -128,6 +128,19 @@ class SweepSettings:
     log_range: tuple[float, float] | None = None
     points: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.range is not None:
+            lo, hi = self.range
+            if hi < lo:
+                raise ConfigError("sweep.range: upper bound below lower bound")
+            # the grid runs from lo to hi in steps of step, so step must divide the
+            # span, however the settings are built: materialize rounds the count
+            n = (hi - lo) / self.step
+            if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n)):
+                raise ConfigError(
+                    f"sweep.step: {self.step!r} does not divide the range [{lo!r}, {hi!r}]"
+                )
+
     def materialize(self) -> np.ndarray:
         """Expand the sweep description into the axis grid, endpoints included."""
         if self.values is not None:
@@ -292,16 +305,6 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
     sweep = None
     if sw is not None:
         sweep = SweepSettings(**sw)
-        if sweep.range is not None:
-            lo, hi = sweep.range
-            if hi < lo:
-                raise ConfigError("sweep.range: upper bound below lower bound")
-            # the grid runs from lo to hi in steps of step, so step must divide the span
-            n = (hi - lo) / sweep.step
-            if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n)):
-                raise ConfigError(
-                    f"sweep.step: {sweep.step!r} does not divide the range [{lo!r}, {hi!r}]"
-                )
 
     return RunConfig(
         lattice=LatticeSettings(**lat),

@@ -8,20 +8,15 @@ in-gap peak extractor and the kappa/(kappa^2+c) rate-law fit.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .master_eq import SolverError, at_gate, solve_steady_state
+from .master_eq import SolverError, _one_blas_thread, at_gate, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -102,74 +97,6 @@ def conduction_window(mu_left: float, mu_right: float, gamma: float) -> tuple[fl
     return (mu_right - 0.5 * gamma, mu_left + 0.5 * gamma)
 
 
-@functools.cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
-
-    Looked up on first use, through /proc/self/maps, so importing the
-    package costs nothing.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
-    except OSError:
-        return None
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-_pin_lock = threading.Lock()
-_pin_depth = 0  # sweeps and solves currently holding BLAS at one thread
-_pin_saved = 1  # the caller's thread count, restored by the last one out
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread until the last open holder exits.
-
-    Sweeps and the CLI's single solve hold it.  One thread per solve keeps
-    pool workers from oversubscribing the cores and makes the output bytes
-    independent of --parallel and the core count.  The count is
-    process-wide, so BLAS calls made on other threads while it is held are
-    single-threaded too.
-    """
-    global _pin_depth, _pin_saved
-    threads = _openblas_threads()
-    if threads is None:
-        warnings.warn(
-            "no OpenBLAS thread control found: the last digits of the results "
-            "may depend on the thread layout",
-            RuntimeWarning,
-            stacklevel=5,
-        )
-        yield
-        return
-    get, put = threads
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            put(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                put(_pin_saved)
-
-
 # Sites at each chain end whose populations make up a sweep's edge imbalance.
 _EDGE_SITES = 2
 
@@ -208,7 +135,8 @@ def _run_sweep(
         converged[i] = 1.0
 
     workers = max(1, min(int(parallel), n))
-    with _one_blas_thread():
+    # each row's solve nests in this hold, which also covers at_gate's build
+    with _one_blas_thread(stacklevel=5):
         # every row is derived from one assembled system and differs from it
         # in the gate and kappa alone, which its sector structure leaves out:
         # at_gate builds that structure here, once, before the pool starts

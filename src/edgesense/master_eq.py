@@ -66,10 +66,14 @@ the system, so it checks the reused blocks rather than trusting them.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
+import threading
 import time
 import warnings
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -753,6 +757,70 @@ def _solve_full_linear(
     return x.reshape(n, n), 1, notes, ()
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None; found on first use."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # sweeps and solves currently holding BLAS at one thread
+_pin_saved = 1  # the caller's thread count, restored by the last one out
+
+
+@contextmanager
+def _one_blas_thread(stacklevel: int = 4):
+    """Run OpenBLAS on one thread until the last open holder exits, then restore the caller's count.
+
+    Every ``solve_steady_state`` holds it, and a sweep holds it over all
+    its rows, so the count does not flap between pooled rows.  One thread
+    per solve keeps pool workers from oversubscribing the cores and makes
+    the bytes independent of the caller's count and --parallel.  The count
+    is process-wide: BLAS calls on other threads meanwhile run on one
+    thread too.  Without OpenBLAS thread control the first holder in warns
+    once, at ``stacklevel``, and BLAS keeps the caller's threads.
+    """
+    global _pin_depth, _pin_saved
+    threads = _openblas_threads()
+    with _pin_lock:
+        first = _pin_depth == 0
+        if first and threads is not None:
+            _pin_saved = threads[0]()
+            threads[1](1)
+        _pin_depth += 1
+    try:
+        if first and threads is None:
+            warnings.warn(
+                "no OpenBLAS thread control found: the last digits of the results "
+                "may depend on the thread layout",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0 and threads is not None:
+                threads[1](_pin_saved)
+
+
 def solve_steady_state(
     sys: CompositeSystem,
     kappa: float,
@@ -763,7 +831,8 @@ def solve_steady_state(
     Returns it as the complex N x N array in ``sys.index_map`` order, with
     the solve's diagnostics.  Raises SolverError if the method finishes
     without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
-    max(1, |target|_inf)).
+    max(1, |target|_inf)).  The solve runs OpenBLAS on one thread and
+    restores the caller's count after (``_one_blas_thread``).
     """
     cfg = cfg or SolverConfig()
     if kappa < 0:
@@ -775,16 +844,17 @@ def solve_steady_state(
             DegenerateSteadyStateWarning,
             stacklevel=2,
         )
-    if cfg.method == SolverMethod.SYLVESTER:
-        m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
-    elif cfg.method == SolverMethod.FULL_LINEAR:
-        m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
-    else:
-        raise ValueError(f"unknown solver method {cfg.method!r}")
-    # either method's rho is Hermitian to rounding: return, and check, its Hermitian part
-    m += m.conj().T
-    m *= 0.5
-    res = _residual(sys, m, kappa)
+    with _one_blas_thread():
+        if cfg.method == SolverMethod.SYLVESTER:
+            m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
+        elif cfg.method == SolverMethod.FULL_LINEAR:
+            m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
+        else:
+            raise ValueError(f"unknown solver method {cfg.method!r}")
+        # either method's rho is Hermitian to rounding: return, and check, its Hermitian part
+        m += m.conj().T
+        m *= 0.5
+        res = _residual(sys, m, kappa)
     wall = time.perf_counter() - start
 
     diag = SolveDiagnostics(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgesense.experiments import _openblas_threads
+from edgesense.master_eq import _openblas_threads
 from edgesense.lattice import build_ssh
 from edgesense.leads import RingLead, assemble_composite
 

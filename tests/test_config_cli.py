@@ -15,6 +15,7 @@ from edgesense import experiments
 from edgesense.cli import build_parser, main
 from edgesense.config import (
     ConfigError,
+    SweepSettings,
     apply_overrides,
     parse_config,
     parse_config_dict,
@@ -22,15 +23,13 @@ from edgesense.config import (
 from edgesense.experiments import (
     CSV_HEADER_PREFIX,
     SweepTable,
-    _one_blas_thread,
-    _openblas_threads,
     fit_esaki_tsu,
     read_sweep_csv,
     write_sweep_csv,
 )
 from edgesense.lattice import RHOMBIC_TERMINATIONS
 from edgesense.leads import MIN_RING_SIZE
-from edgesense.master_eq import SolverMethod, solve_steady_state
+from edgesense.master_eq import SolverMethod, _openblas_threads, solve_steady_state
 
 MU = math.pi / 40
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -272,6 +271,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="upper bound below lower"):
             parse_config_dict(raw)
 
+    def test_sweep_step_rule_holds_in_python(self):
+        # settings built in Python follow the parser's rule: a step that does
+        # not divide the range is refused, not rounded to another grid
+        with pytest.raises(ConfigError, match=r"^sweep.step: 0.4 does not divide the range \[0.0, 1.0\]"):
+            SweepSettings("delta", range=(0.0, 1.0), step=0.4)
+        with pytest.raises(ConfigError, match="upper bound below lower"):
+            SweepSettings("delta", range=(1.0, -1.0), step=0.01)
+        grid = SweepSettings("delta", range=(0.0, 1.0), step=0.25).materialize()
+        assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
+
     @pytest.mark.parametrize("name", list(REJECTIONS))
     def test_rejection_table(self, name):
         raw, path, named = REJECTIONS[name]
@@ -471,8 +480,7 @@ class TestCli:
         saved = np.load(tmp_path / "o" / "spdm.npy")
         assert saved.dtype == np.complex128 and saved.shape == (20, 20)
         config = parse_config_dict(base_raw())
-        with _one_blas_thread():
-            rho, _ = solve_steady_state(config.build_system(), config.decoherence, config.solver)
+        rho, _ = solve_steady_state(config.build_system(), config.decoherence, config.solver)
         assert saved.tobytes() == rho.tobytes()
         prof = (tmp_path / "o" / "profile.csv").read_text().splitlines()
         assert prof[1] == "cut,current"
@@ -797,7 +805,7 @@ class TestCli:
                         assert main(argv + ["--parallel", parallel]) == 0
                         csvs.add((out / f"{command.replace('-', '_')}.csv").read_bytes())
                 assert len(csvs) == 1, name
-            # steady holds BLAS at one thread too, so its CSVs match as well
+            # steady's solve holds BLAS at one thread too, so its CSVs match as well
             cfg = write_cfg(tmp_path, fig1, "fig1.json")
             steady = set()
             for threads in (1, 2) if blas else (None,):

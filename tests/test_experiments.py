@@ -2,13 +2,15 @@ import dataclasses
 import math
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edgesense import experiments
-from edgesense.config import parse_config_dict
+from edgesense import experiments, master_eq
+from edgesense.config import parse_config, parse_config_dict
 from edgesense.experiments import (
     CSV_HEADER_PREFIX,
     EsakiTsuFit,
@@ -21,7 +23,10 @@ from edgesense.experiments import (
     sweep_gate,
     write_sweep_csv,
 )
-from edgesense.master_eq import SolverMethod
+from edgesense.master_eq import SolverConfig, SolverError, SolverMethod, solve_steady_state
+from edgesense.observables import current_profile
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_cfg(L=4, M=8, solver=None, decoherence=0.0):
@@ -362,19 +367,20 @@ class TestSweeps:
         assert abs(pm.support[1] - win[1]) <= 0.01 + 1e-9
 
 
-class TestSweepBlasThreads:
-    @pytest.fixture
-    def blas(self):
-        """OpenBLAS set to two threads for the test, the caller's count restored after."""
-        blas = experiments._openblas_threads()
-        if blas is None:
-            pytest.skip("no OpenBLAS thread control in this process")
-        get, put = blas
-        saved = get()
-        put(2)
-        yield get
-        put(saved)
+@pytest.fixture
+def blas():
+    """OpenBLAS set to two threads for the test, the caller's count restored after."""
+    blas = master_eq._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, put = blas
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
 
+
+class TestSweepBlasThreads:
     def test_normal_sweep_restores_the_count(self, blas):
         table = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], parallel=2)
         assert table.extra_columns["converged"].all()
@@ -432,8 +438,89 @@ class TestSweepBlasThreads:
 
     def test_missing_blas_control_warns_once(self, monkeypatch):
         expected = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1])
-        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(master_eq, "_openblas_threads", lambda: None)
         with pytest.warns(RuntimeWarning, match="thread layout") as record:
             table = sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], parallel=2)
         assert len(record) == 1
         assert_allclose(table.current, expected.current, rtol=1e-9)
+
+
+class TestSolveBlasThreads:
+    """A bare solve holds BLAS at one thread and gives back the caller's count."""
+
+    # fig1 off gate 0 runs two eigendecompositions at 51, fig2 at kappa > 0 one
+    CASES = [("fig1", 0.3, 0.0), ("fig2", None, 1e-3)]
+
+    @pytest.fixture
+    def eig_counts(self, blas, monkeypatch):
+        """The BLAS thread count as each np.linalg.eig call starts."""
+        eig = np.linalg.eig
+        seen = []
+
+        def spy(a):
+            seen.append(blas())
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        return seen
+
+    @pytest.mark.parametrize("fig, gate, kappa", CASES, ids=["fig1", "fig2"])
+    def test_bare_solve_runs_on_one_thread(self, blas, eig_counts, fig, gate, kappa):
+        cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
+        system = cfg.build_system(gate=gate)
+        rho, _ = solve_steady_state(system, kappa)
+        assert eig_counts and set(eig_counts) == {1}
+        assert blas() == 2
+        put = master_eq._openblas_threads()[1]
+        put(1)
+        try:
+            serial, _ = solve_steady_state(system, kappa)
+        finally:
+            put(2)
+        assert rho.tobytes() == serial.tobytes()
+        if gate is None:
+            table = sweep_decoherence(cfg, [kappa])
+        else:
+            table = sweep_gate(cfg, [gate], kappa)
+        assert table.current[0] == current_profile(rho, system).mean
+        assert blas() == 2
+
+    @pytest.mark.parametrize("fig, gate, kappa", CASES, ids=["fig1", "fig2"])
+    def test_failed_solve_restores_the_count(self, blas, eig_counts, fig, gate, kappa):
+        system = parse_config((CONFIGS / f"{fig}.json").read_text()).build_system(gate=gate)
+        with pytest.raises(SolverError):
+            solve_steady_state(system, kappa, SolverConfig(residual_tol=1e-30))
+        assert eig_counts and set(eig_counts) == {1}
+        assert blas() == 2
+
+    def test_solves_in_a_user_pool_each_run_on_one_thread(self, blas, eig_counts, monkeypatch):
+        system = parse_config((CONFIGS / "fig1.json").read_text()).build_system(gate=0.3)
+        kappas = [0.0, 2e-3]
+        expected = [solve_steady_state(system, k)[0] for k in kappas]
+        eig_counts.clear()
+        # each solve waits at its first eig for the other, so both hold the pin at once
+        met = threading.Barrier(2, timeout=30)
+        spy = np.linalg.eig
+        waited = set()
+
+        def meet(a):
+            name = threading.current_thread().name
+            if name not in waited:
+                waited.add(name)
+                met.wait()
+            return spy(a)
+
+        monkeypatch.setattr(np.linalg, "eig", meet)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rhos = list(pool.map(lambda k: solve_steady_state(system, k)[0], kappas))
+        assert len(waited) == 2
+        assert set(eig_counts) == {1}
+        assert blas() == 2
+        assert [r.tobytes() for r in rhos] == [r.tobytes() for r in expected]
+
+    def test_missing_blas_control_warns_once_per_solve(self, small_system, monkeypatch):
+        monkeypatch.setattr(master_eq, "_openblas_threads", lambda: None)
+        with pytest.warns(RuntimeWarning, match="thread layout") as record:
+            solve_steady_state(small_system, 0.01)
+        assert len(record) == 1
+        assert record[0].filename == __file__

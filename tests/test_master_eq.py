@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from edgesense import config, master_eq
 from edgesense.config import parse_config
-from edgesense.experiments import _one_blas_thread, sweep_decoherence, sweep_gate, write_sweep_csv
+from edgesense.experiments import sweep_decoherence, sweep_gate, write_sweep_csv
 from edgesense.lattice import build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite, contact_bonds
 from edgesense.master_eq import (
@@ -981,7 +981,7 @@ class TestSharedSectors:
     )
     def test_shared_rows_match_fresh_systems(self, fig, kappa, axis):
         # each row's current is that of a freshly assembled system, to the bit;
-        # the fresh solves hold BLAS at one thread, as the sweep does
+        # each fresh solve holds BLAS at one thread, as the sweep does
         cfg = parse_config((CONFIGS / f"{fig}.json").read_text())
         if fig == "fig1":
             table = sweep_gate(cfg, axis, kappa, parallel=2)
@@ -990,11 +990,10 @@ class TestSharedSectors:
         else:
             table = sweep_decoherence(cfg, axis, parallel=2)
             rows = [(None, k) for k in axis]
-        with _one_blas_thread():
-            for (gate, k), shared in zip(rows, table.current):
-                sys = cfg.build_system(gate=gate)
-                rho, _ = solve_steady_state(sys, k)
-                assert shared == current_profile(rho, sys).mean
+        for (gate, k), shared in zip(rows, table.current):
+            sys = cfg.build_system(gate=gate)
+            rho, _ = solve_steady_state(sys, k)
+            assert shared == current_profile(rho, sys).mean
 
     @pytest.mark.parametrize("fig", ["fig1", "fig3"])
     def test_at_gate_matches_assembly(self, fig):

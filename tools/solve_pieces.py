@@ -2,7 +2,7 @@
 
 Usage, from the root of an edgesense checkout (or with --root pointing at one):
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/solve_pieces.py --repeats 41 [--root DIR]
+    python3 tools/solve_pieces.py --repeats 41 [--root DIR]
 
 Prints one JSON object.  ``sectors_ms`` is one build of the symmetry blocks
 and the chiral phases found with them (``master_eq._Sectors``) on each
@@ -16,7 +16,9 @@ lattice reduction (kappa > 0), ``residual_ms`` the residual check, and
 ``solve_ms`` one ``solve_steady_state`` on a system whose blocks are built;
 ``solve_over_floor`` is solve_ms / floor_ms.  Every time is the median of
 --repeats calls, taken in turn so that a slow spell of the host touches
-every piece alike.
+every piece alike.  Each call holds OpenBLAS at one thread
+(``master_eq._one_blas_thread``), as every solve does, so the floor and
+the pieces run on the threads the solve runs on.
 """
 
 from __future__ import annotations
@@ -38,12 +40,6 @@ CASES = (
 )
 
 
-def timed(f) -> float:
-    start = time.perf_counter()
-    f()
-    return 1e3 * (time.perf_counter() - start)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]))
@@ -55,6 +51,12 @@ def main() -> int:
 
     from edgesense import master_eq
     from edgesense.config import parse_config
+
+    def timed(f) -> float:
+        start = time.perf_counter()
+        with master_eq._one_blas_thread():
+            f()
+        return 1e3 * (time.perf_counter() - start)
 
     def cfg(name):
         return parse_config((root / "configs" / f"{name}.json").read_text())
