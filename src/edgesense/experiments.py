@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .master_eq import SolverError, _one_blas_thread, at_gate, solve_steady_state
+from .master_eq import SolverError, _check_gate, _check_kappa, _solve_hold, at_gate, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -120,7 +120,8 @@ def _run_sweep(
     converged = np.zeros(n)
 
     def run_row(i: int) -> None:
-        system = at_gate(base, gates[i])
+        # at_gate copies the system: a row at the first row's gate reads base itself
+        system = base if gates[i] == gates[0] else at_gate(base, gates[i])
         try:
             rho, diag = solve_steady_state(system, float(kappas[i]), cfg.solver)
         except SolverError as err:
@@ -134,9 +135,14 @@ def _run_sweep(
         gradient[i] = population_gradient(pops)
         converged[i] = 1.0
 
+    # the whole grid is checked before any row is solved, so a bad point loses no row
+    for gate, kappa in zip(gates, kappas):
+        _check_gate(gate)
+        _check_kappa(kappa)
     workers = max(1, min(int(parallel), n))
     # each row's solve nests in this hold, which also covers at_gate's build
-    with _one_blas_thread(stacklevel=5):
+    # and keeps the rows' workspaces between them
+    with _solve_hold(stacklevel=5):
         # every row is derived from one assembled system and differs from it
         # in the gate and kappa alone, which its sector structure leaves out:
         # at_gate builds that structure here, once, before the pool starts

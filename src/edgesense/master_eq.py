@@ -62,6 +62,10 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
 Each solve reports the residual of the equation of motion, taken over
 the bonds of A as h_total holds them at that call: it keeps nothing on
 the system, so it checks the reused blocks rather than trusting them.
+The state it checks is Hermitian bit for bit, so one row gather gives
+both A rho and rho A^dag.  The large arrays of a solve live in a
+workspace that the rows of a sweep pass on to each other
+(``_solve_hold``).
 """
 
 from __future__ import annotations
@@ -132,6 +136,40 @@ class DegenerateSteadyStateWarning(UserWarning):
     """The steady state is not unique; a minimal-norm representative is returned."""
 
 
+class _Workspace:
+    """The large working arrays of one solve at N sites and n kept columns, views of one allocation.
+
+    ``v``, ``vinv`` and ``inv_denom`` hold the factorization, and
+    ``scratch`` and ``product`` are N x N: ``back`` stages its two N x n
+    products in their first N n entries (``head``), and the Hermitian part
+    and the residual, which run after the last ``back``, use them whole.
+    Every user writes what it reads first, so nothing one solve leaves
+    there reaches the next.  The rows of a sweep share N and n and reuse
+    the workspaces of earlier rows (``_solve_hold``): made afresh per row,
+    the arrays would be trimmed off the heap by the allocator and faulted
+    back in by the next row.  They are one allocation (1.25 MB at N = 140,
+    n = 102) rather than five: when the sweep frees it, glibc raises its
+    mmap threshold to that size, and the temporaries of later sweeps stay
+    on the heap instead of being trimmed and faulted in again.
+    """
+
+    def __init__(self, n_sites: int, n_kept: int):
+        self.shape = n_sites, n_kept
+        shapes = [(n_sites, n_kept), (n_kept, n_sites), (n_kept, n_kept), (n_sites, n_sites),
+                  (n_sites, n_sites)]
+        ends = np.cumsum([0] + [a * b for a, b in shapes])
+        self.block = np.empty(ends[-1], dtype=complex)
+        self.v, self.vinv, self.inv_denom, self.scratch, self.product = (
+            self.block[start:stop].reshape(shape)
+            for start, stop, shape in zip(ends[:-1], ends[1:], shapes)
+        )
+
+    @staticmethod
+    def head(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        """The first entries of the contiguous array a, as a contiguous array of that shape."""
+        return a.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+
+
 def _half_rates(sys: CompositeSystem, kappa: float) -> np.ndarray:
     return 0.5 * (sys.gamma_by_index + kappa * sys.lattice_mask)
 
@@ -140,19 +178,25 @@ def _residual_scale(sys: CompositeSystem) -> float:
     return max(1.0, float(np.abs(sys.target).max()))
 
 
-def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> d rho/dt = drive - A rho - rho A^dag + kappa diag_lattice(rho), A = iH + Delta.
+def _check_kappa(kappa: float) -> None:
+    if not 0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be non-negative and finite, got {kappa}")
 
-    Both products are summed over A's diagonal and its bonds, the
-    off-diagonal entries, which are read from h_total on every call, so an
-    edit in place is seen at once: row i of idx lists the j != i with
-    h[i, j] != 0, padded with column 0 and amplitude 0, a few per site for a
-    chain plus two rings.  A's rows give both, for any rho:
-    (A rho)[i] = diag[i] rho[i] + sum_k amp[i, k] rho[idx[i, k]] and
-    (rho A^dag)[:, i] = rho[:, i] conj(diag[i]) + sum_k rho[:, idx[i, k]] conj(amp[i, k]).
+
+def _check_gate(gate: float) -> None:
+    if not np.isfinite(gate):
+        raise ValueError(f"gate must be finite, got {gate}")
+
+
+def _bonds(sys: CompositeSystem, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, amp, diag): the rows of A = iH + Delta as h_total holds them at this call.
+
+    A[i, i] = diag[i], and the bonds, the off-diagonal entries, are read
+    from h_total on every call, so an edit in place is seen at once: row i
+    of idx lists the j != i with h[i, j] != 0, whose A[i, j] is amp[i, k],
+    padded with column 0 and amplitude 0, a few per site for a chain plus
+    two rings.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
     h = sys.h_total
     n = h.shape[0]
     bonds = h != 0
@@ -164,7 +208,18 @@ def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], n
     amp = np.zeros(idx.shape, dtype=complex)
     idx[rows, slot] = cols
     amp[rows, slot] = 1j * h[rows, cols]
-    diag = 1j * h.diagonal() + _half_rates(sys, kappa)
+    return idx, amp, 1j * h.diagonal() + _half_rates(sys, kappa)
+
+
+def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> d rho/dt = drive - A rho - rho A^dag + kappa diag_lattice(rho), A = iH + Delta.
+
+    Both products are summed over A's rows (``_bonds``), for any rho:
+    (A rho)[i] = diag[i] rho[i] + sum_k amp[i, k] rho[idx[i, k]] and
+    (rho A^dag)[:, i] = rho[:, i] conj(diag[i]) + sum_k rho[:, idx[i, k]] conj(amp[i, k]).
+    """
+    _check_kappa(kappa)
+    idx, amp, diag = _bonds(sys, kappa)
     latt = np.flatnonzero(sys.lattice_mask)
 
     def rhs(m: np.ndarray) -> np.ndarray:
@@ -173,7 +228,7 @@ def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], n
         for k in range(idx.shape[1]):
             out -= amp[:, k, None] * m[idx[:, k]]
             out -= m[:, idx[:, k]] * amp[:, k].conj()
-        out[latt, latt] += kappa * m[latt, latt].real
+        out[latt, latt] += kappa * m[latt, latt]
         return out
 
     return rhs
@@ -192,8 +247,29 @@ def apply_liouvillian(sys: CompositeSystem, rho: np.ndarray, kappa: float) -> np
     return _liouvillian(sys, kappa)(rho)
 
 
-def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float) -> float:
-    return float(np.abs(apply_liouvillian(sys, m, kappa)).max()) / _residual_scale(sys)
+def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> float:
+    """|d m/dt|_inf over max(1, |target|_inf), for an m that is Hermitian bit for bit.
+
+    Then m A^dag = (A m)^dag, so one row gather over A's rows (``_bonds``)
+    gives both products: d m/dt = drive - (p + p^dag) + kappa diag_lattice(m)
+    with p = A m.  It reads h_total and m, and ws's two N x N arrays only
+    after it has written them.
+    """
+    idx, amp, diag = _bonds(sys, kappa)
+    p = np.multiply(diag[:, None], m, out=ws.product)
+    out = ws.scratch
+    for k in range(idx.shape[1]):
+        # mode="clip" gathers straight into out; the default mode gathers into a copy first
+        np.take(m, idx[:, k], axis=0, out=out, mode="clip")
+        out *= amp[:, k, None]
+        p += out
+    np.conjugate(p.T, out=out)
+    out += p
+    np.subtract(sys.drive, out, out=out)
+    latt = np.flatnonzero(sys.lattice_mask)
+    out[latt, latt] += kappa * m[latt, latt]
+    # p is spent: its real part takes |out|
+    return float(np.abs(out, out=p.real).max()) / _residual_scale(sys)
 
 
 def _pair_basis(perm: np.ndarray, d: np.ndarray) -> tuple[tuple, tuple]:
@@ -501,6 +577,7 @@ def at_gate(sys: CompositeSystem, gate: float) -> CompositeSystem:
     Every solve still checks its own residual against the copy.
     """
     gate = float(gate)
+    _check_gate(gate)
     sectors = _sectors(sys)
     hamiltonian = sys.lattice.hamiltonian.copy()
     np.fill_diagonal(hamiltonian, gate)
@@ -541,18 +618,19 @@ class _SylvesterFactorization:
     ``dephasing_map`` is that diagonal for each unit source on the lattice,
     with its escape into the leads, and ``lattice_system`` the matrix
     I - kappa M of the dephasing self-consistency, built once at kappa > 0
-    as ``shift``.
+    as ``shift``.  v, vinv, inv_denom and ``back``'s two N x n products live
+    in the workspace ``ws``, a fresh one by default.
     """
 
-    def __init__(self, sys: CompositeSystem, kappa: float):
+    def __init__(self, sys: CompositeSystem, kappa: float, ws: _Workspace | None = None):
         self.sectors = sectors = _sectors(sys)
         self.kappa = kappa
         self.latt = np.flatnonzero(sys.lattice_mask)
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
         self.folded = z.imag == 0 and sectors.chiral is not None
         size = sum(sectors.block_sizes)
-        self.v = np.empty((sys.size, size), dtype=complex)
-        self.vinv = np.empty((size, sys.size), dtype=complex)
+        self.ws = ws = _Workspace(sys.size, size) if ws is None else ws
+        self.v, self.vinv = ws.v, ws.vinv
         lams, eig_blocks, start = [], [], 0
         for col_s, w_s, b_s, lat_s in sectors.blocks:
             cols = slice(start, start + b_s.shape[0])
@@ -572,7 +650,7 @@ class _SylvesterFactorization:
                 np.multiply(np.linalg.inv(v)[:, col_s], w_s.conj(), out=self.vinv[cols])
         self.eig_blocks = tuple(eig_blocks)
         self.lam = lam = np.concatenate(lams)
-        inv = np.add.outer(lam, lam.conj())
+        inv = np.add.outer(lam, lam.conj(), out=ws.inv_denom)
         guard = DENOMINATOR_GUARD * max(1.0, float(np.abs(lam).max()))
         self.dark_pairs = np.abs(inv) < guard
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -590,8 +668,11 @@ class _SylvesterFactorization:
         return u @ source[np.ix_(on, on)] @ u.conj().T
 
     def back(self, t: np.ndarray) -> np.ndarray:
-        """The solution v (t / D) v^dag for a rotated source t."""
-        return self.v @ (t * self.inv_denom) @ self.v.conj().T
+        """The solution v (t / D) v^dag, a new array, for a rotated source t, which it scales in place."""
+        t *= self.inv_denom
+        head = self.ws.head
+        vt = np.matmul(self.v, t, out=head(self.ws.product, self.v.shape))
+        return vt @ np.conjugate(self.v, out=head(self.ws.scratch, self.v.shape)).T
 
     def apply(self, source: np.ndarray) -> np.ndarray:
         """X = L(kappa)^-1(-S): A X + X A^dag - kappa diag_lattice(X) = S, for a Hermitian source S.
@@ -704,10 +785,10 @@ class _SylvesterFactorization:
 
 
 def _solve_sylvester(
-    sys: CompositeSystem, kappa: float
+    sys: CompositeSystem, kappa: float, ws: _Workspace
 ) -> tuple[np.ndarray, int, list[str], tuple[int, ...]]:
     notes: list[str] = []
-    fact = _SylvesterFactorization(sys, kappa)
+    fact = _SylvesterFactorization(sys, kappa, ws)
     if fact.dark_pairs.any():
         notes.append(
             "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
@@ -715,7 +796,9 @@ def _solve_sylvester(
         warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
     # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
     solves = fact.latt.size + 2 if kappa > 0 else 1
-    return fact.apply(sys.drive) + fact.sectors.rho_odd, solves, notes, fact.eig_blocks
+    m = fact.apply(sys.drive)
+    m += fact.sectors.rho_odd
+    return m, solves, notes, fact.eig_blocks
 
 
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -781,21 +864,25 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 
 _pin_lock = threading.Lock()
-_pin_depth = 0  # sweeps and solves currently holding BLAS at one thread
+_pin_depth = 0  # sweeps and solves currently in the hold
 _pin_saved = 1  # the caller's thread count, restored by the last one out
+_idle: list[_Workspace] = []  # workspaces no running solve has checked out
 
 
 @contextmanager
-def _one_blas_thread(stacklevel: int = 4):
-    """Run OpenBLAS on one thread until the last open holder exits, then restore the caller's count.
+def _solve_hold(stacklevel: int = 4):
+    """Run OpenBLAS on one thread and keep the idle workspaces until the last open holder exits.
 
     Every ``solve_steady_state`` holds it, and a sweep holds it over all
-    its rows, so the count does not flap between pooled rows.  One thread
-    per solve keeps pool workers from oversubscribing the cores and makes
-    the bytes independent of the caller's count and --parallel.  The count
-    is process-wide: BLAS calls on other threads meanwhile run on one
+    its rows, so the count does not flap between pooled rows and each row
+    reuses a workspace an earlier row returned (``_workspace``).  One
+    thread per solve keeps pool workers from oversubscribing the cores and
+    makes the bytes independent of the caller's count and --parallel.  The
+    count is process-wide: BLAS calls on other threads meanwhile run on one
     thread too.  Without OpenBLAS thread control the first holder in warns
-    once, at ``stacklevel``, and BLAS keeps the caller's threads.
+    once, at ``stacklevel``, and BLAS keeps the caller's threads.  The last
+    holder out restores the caller's count and drops the idle workspaces,
+    so nothing is kept between sweeps.
     """
     global _pin_depth, _pin_saved
     threads = _openblas_threads()
@@ -817,8 +904,31 @@ def _one_blas_thread(stacklevel: int = 4):
     finally:
         with _pin_lock:
             _pin_depth -= 1
-            if _pin_depth == 0 and threads is not None:
-                threads[1](_pin_saved)
+            if _pin_depth == 0:
+                _idle.clear()
+                if threads is not None:
+                    threads[1](_pin_saved)
+
+
+@contextmanager
+def _workspace(n_sites: int, n_kept: int):
+    """A workspace of these shapes that no other running solve holds: an idle one, else a fresh one.
+
+    It goes back to the idle list of the open hold (``_solve_hold``) on
+    exit, for the next solve in the hold, which the caller keeps open
+    meanwhile.
+    """
+    with _pin_lock:
+        ws = next((w for w in _idle if w.shape == (n_sites, n_kept)), None)
+        if ws is not None:
+            _idle.remove(ws)
+    if ws is None:
+        ws = _Workspace(n_sites, n_kept)
+    try:
+        yield ws
+    finally:
+        with _pin_lock:
+            _idle.append(ws)
 
 
 def solve_steady_state(
@@ -832,11 +942,12 @@ def solve_steady_state(
     the solve's diagnostics.  Raises SolverError if the method finishes
     without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
     max(1, |target|_inf)).  The solve runs OpenBLAS on one thread and
-    restores the caller's count after (``_one_blas_thread``).
+    restores the caller's count after, and it works in a workspace that an
+    earlier solve in an open sweep may have returned (``_solve_hold``); the
+    returned array is always its own.
     """
     cfg = cfg or SolverConfig()
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
+    _check_kappa(kappa)
     start = time.perf_counter()
     if contact_bonds(sys)[0].size == 0:
         warnings.warn(
@@ -844,17 +955,22 @@ def solve_steady_state(
             DegenerateSteadyStateWarning,
             stacklevel=2,
         )
-    with _one_blas_thread():
-        if cfg.method == SolverMethod.SYLVESTER:
-            m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa)
-        elif cfg.method == SolverMethod.FULL_LINEAR:
-            m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
-        else:
-            raise ValueError(f"unknown solver method {cfg.method!r}")
-        # either method's rho is Hermitian to rounding: return, and check, its Hermitian part
-        m += m.conj().T
-        m *= 0.5
-        res = _residual(sys, m, kappa)
+    with _solve_hold():
+        sylvester = cfg.method == SolverMethod.SYLVESTER
+        # the Sylvester solve keeps the blocks' columns; a system's first solve builds the blocks
+        kept = sum(_sectors(sys).block_sizes) if sylvester else 0
+        with _workspace(sys.size, kept) as ws:
+            if sylvester:
+                m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa, ws)
+            elif cfg.method == SolverMethod.FULL_LINEAR:
+                m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
+            else:
+                raise ValueError(f"unknown solver method {cfg.method!r}")
+            # either method's rho is Hermitian to rounding: return, and check, its
+            # Hermitian part, which is Hermitian bit for bit, as _residual needs
+            m += np.conjugate(m.T, out=ws.scratch)
+            m *= 0.5
+            res = _residual(sys, m, kappa, ws)
     wall = time.perf_counter() - start
 
     diag = SolveDiagnostics(

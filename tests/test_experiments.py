@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import re
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -354,6 +356,18 @@ class TestSweeps:
         with pytest.raises(ValueError, match="empty sweep"):
             sweep_gate(small_cfg(), [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_point_rejected_before_any_solve(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(experiments, "solve_steady_state", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="kappa must be non-negative and finite"):
+            sweep_decoherence(small_cfg(), [1e-3, bad])
+        with pytest.raises(ValueError, match="gate must be finite"):
+            sweep_gate(small_cfg(), [0.1, bad])
+        with pytest.raises(ValueError, match="kappa must be non-negative and finite"):
+            sweep_gate(small_cfg(), [0.1, 0.2], kappa=bad)
+        assert calls == []
+
     def test_peak_support_tracks_conduction_window(self):
         # resonance support must reproduce (mu_R - gamma/2, mu_L + gamma/2)
         # to within one grid step
@@ -365,6 +379,135 @@ class TestSweeps:
         assert pm is not None
         assert abs(pm.support[0] - win[0]) <= 0.01 + 1e-9
         assert abs(pm.support[1] - win[1]) <= 0.01 + 1e-9
+
+
+def table_bytes(table):
+    return [table.column(name).tobytes() for name in ("axis", "current", "residual", *table.extra_columns)]
+
+
+def poison_idle_workspaces(monkeypatch):
+    """Fill every idle workspace with NaN as each solve checks one out; return the workspaces handed out.
+
+    A workspace handed to a solve while another solve still holds it fails the test.
+    """
+    checkout = master_eq._workspace
+    handed = []
+    busy = set()
+
+    @contextlib.contextmanager
+    def poisoned(*shape):
+        with master_eq._pin_lock:
+            for ws in master_eq._idle:
+                ws.block.fill(np.nan)
+        with checkout(*shape) as ws:
+            with master_eq._pin_lock:
+                assert id(ws) not in busy
+                busy.add(id(ws))
+            handed.append(ws)
+            try:
+                yield ws
+            finally:
+                with master_eq._pin_lock:
+                    busy.discard(id(ws))
+
+    monkeypatch.setattr(master_eq, "_workspace", poisoned)
+    return handed
+
+
+class TestSweepWorkspaces:
+    """The rows of a sweep reuse workspaces, and what one row leaves there never reaches another."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_poisoned_workspaces_change_no_byte(self, monkeypatch, parallel):
+        # fig2's kappa rows all fold at gate 0; the fig1 gate rows fold at 0 alone
+        fig2 = parse_config((CONFIGS / "fig2.json").read_text())
+        fig1 = parse_config((CONFIGS / "fig1.json").read_text())
+        kappas = fig2.sweep.materialize()[::5]
+        gates = [-0.3, -0.1, 0.0, 0.1, 0.3]
+        expected = [sweep_decoherence(fig2, kappas), sweep_gate(fig1, gates)]
+        handed = poison_idle_workspaces(monkeypatch)
+        tables = [
+            sweep_decoherence(fig2, kappas, parallel=parallel),
+            sweep_gate(fig1, gates, parallel=parallel),
+        ]
+        for table, serial in zip(tables, expected):
+            assert table_bytes(table) == table_bytes(serial)
+        assert len(handed) == len(kappas) + len(gates)
+        # the rows reused workspaces: at most one per worker and sweep was made
+        assert len({id(ws) for ws in handed}) <= 2 * parallel
+
+    def test_more_workers_than_cores_share_no_workspace(self, monkeypatch):
+        # frequent thread switches, and more workers than the two cores of a small host
+        deltas = np.linspace(-0.2, 0.2, 16)
+        expected = table_bytes(sweep_gate(small_cfg(), deltas, kappa=1e-3))
+        handed = poison_idle_workspaces(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = sweep_gate(small_cfg(), deltas, kappa=1e-3, parallel=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert table_bytes(table) == expected
+        assert len(handed) == deltas.size
+        assert len({id(ws) for ws in handed}) <= 4
+
+    def test_a_row_keeps_its_matrix(self):
+        system = parse_config((CONFIGS / "fig2.json").read_text()).build_system()
+        with master_eq._solve_hold():
+            first, _ = solve_steady_state(system, 1e-3)
+            kept = first.copy()
+            (ws,) = master_eq._idle
+            second, _ = solve_steady_state(system, 2e-3)
+            assert master_eq._idle == [ws]
+            assert not np.shares_memory(first, ws.block)
+            assert not np.shares_memory(second, ws.block)
+        assert first.tobytes() == kept.tobytes()
+        assert master_eq._idle == []
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_no_workspace_outlives_its_sweep(self, monkeypatch, parallel):
+        sweep_decoherence(small_cfg(), [1e-3, 2e-3, 3e-3], parallel=parallel)
+        assert master_eq._idle == [] and master_eq._pin_depth == 0
+        # the third eigendecomposition fails, after a row has returned its workspace
+        eig = np.linalg.eig
+        calls = []
+
+        def failing(a):
+            calls.append(a.shape)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("boom")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="boom"):
+            sweep_decoherence(small_cfg(), [1e-3, 2e-3, 3e-3, 4e-3], parallel=parallel)
+        assert master_eq._idle == [] and master_eq._pin_depth == 0
+
+    def test_concurrent_sweeps_each_match_their_serial_run(self, monkeypatch):
+        # two sweeps of different sizes from a user's pool, both started
+        # before either solves, so their rows share one hold and its idle list
+        sweeps = [
+            lambda: sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], kappa=1e-3),
+            lambda: sweep_decoherence(small_cfg(L=6), [1e-3, 2e-3, 3e-3]),
+        ]
+        expected = [table_bytes(run()) for run in sweeps]
+        solve = experiments.solve_steady_state
+        started = threading.Barrier(2, timeout=30)
+        waited = set()
+
+        def solve_together(*args, **kwargs):
+            name = threading.current_thread().name
+            if name not in waited:
+                waited.add(name)
+                started.wait()
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_steady_state", solve_together)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            tables = list(pool.map(lambda run: run(), sweeps))
+        assert len(waited) == 2
+        assert [table_bytes(t) for t in tables] == expected
+        assert master_eq._idle == []
 
 
 @pytest.fixture

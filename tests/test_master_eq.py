@@ -79,13 +79,23 @@ CORNERS = {
 
 class TestGenerator:
     def test_superoperator_matches_elementwise_action(self):
+        # apply_liouvillian for any rho, and the solve's one-pass residual for
+        # a rho that is Hermitian bit for bit, as the solve makes it
         sys = make_ssh_system(length=4, ring=4)
-        rho = random_hermitian(sys.size, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(sys.size,) * 2) + 1j * rng.normal(size=(sys.size,) * 2)
+        rho = x + np.conjugate(x.T)
+        rho *= 0.5
+        assert np.array_equal(rho, rho.conj().T)
         for kappa in (0.0, 0.07):
             lin = build_superoperator(sys, kappa)
-            direct = apply_liouvillian(sys, rho, kappa)
-            vec = (lin @ rho.reshape(-1) + sys.drive.reshape(-1)).reshape(sys.size, sys.size)
-            assert_allclose(vec, direct, atol=1e-12)
+            for m in (x, rho):
+                direct = apply_liouvillian(sys, m, kappa)
+                vec = (lin @ m.reshape(-1) + sys.drive.reshape(-1)).reshape(sys.size, sys.size)
+                assert_allclose(vec, direct, atol=1e-12)
+            dense = np.abs(vec).max() / master_eq._residual_scale(sys)
+            residual = master_eq._residual(sys, rho, kappa, master_eq._Workspace(sys.size, 0))
+            assert abs(residual - dense) <= 1e-14 * dense
 
     def test_dephasing_block_pattern(self, small_system):
         # L(kappa) - L(0) must damp lattice coherences at kappa, mixed
@@ -111,6 +121,18 @@ class TestGenerator:
             apply_liouvillian(small_system, np.zeros((20, 20)), -0.1)
         with pytest.raises(ValueError, match="non-negative"):
             solve_steady_state(small_system, -0.1)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa_rejected(self, small_system, kappa):
+        with pytest.raises(ValueError, match="kappa must be non-negative and finite"):
+            apply_liouvillian(small_system, np.zeros((20, 20)), kappa)
+        with pytest.raises(ValueError, match="kappa must be non-negative and finite"):
+            solve_steady_state(small_system, kappa)
+
+    @pytest.mark.parametrize("gate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gate_rejected(self, small_system, gate):
+        with pytest.raises(ValueError, match="gate must be finite"):
+            at_gate(small_system, gate)
 
     def test_disconnected_thermal_state_is_stationary(self):
         sys = make_ssh_system(epsilon=0.0)
@@ -677,7 +699,7 @@ class TestBondCommutator:
             dense -= half[:, None] * m + m * half[None, :]
             dense += sys.drive
             latt = np.flatnonzero(sys.lattice_mask)
-            dense[latt, latt] += kappa * m[latt, latt].real
+            dense[latt, latt] += kappa * m[latt, latt]
             out = apply_liouvillian(sys, m, kappa)
             assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
 

@@ -14,7 +14,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from edgesense.config import RunConfig
+from edgesense import experiments
+from edgesense.config import RunConfig, parse_config_dict
 from edgesense.experiments import sweep_decoherence, sweep_gate
 from edgesense.master_eq import SolveDiagnostics, SolverConfig, solve_steady_state
 
@@ -37,7 +38,7 @@ def test_traced_names_resolve_to_callables():
     assert "fingerprint" in RunConfig.__dict__
 
 
-def test_benchmark_call_shapes():
+def test_benchmark_call_shapes(monkeypatch):
     # tracing._solve_attrs takes kappa from args[1] of a positional call
     assert list(inspect.signature(solve_steady_state).parameters)[1] == "kappa"
     # perfbench's check_solve and floor_systems call cfg.build_system(gate=...)
@@ -55,3 +56,22 @@ def test_benchmark_call_shapes():
     assert SolverConfig().residual_tol > 0
     fields = {f.name for f in dataclasses.fields(SolveDiagnostics)}
     assert {"iterations", "residual", "warnings"} <= fields
+    # tracing wraps edgesense.experiments.solve_steady_state as the span
+    # master_eq.solve, so every sweep row must call it through that name
+    calls = []
+    solve = experiments.solve_steady_state
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_steady_state", counted)
+    cfg = parse_config_dict({
+        "lattice": {"kind": "ssh", "L": 4, "J": 1.0, "J_tilde": 0.5},
+        "leads": {"M": 8, "mu_L": 0.08, "mu_R": -0.08},
+        "coupling": 0.2,
+    })
+    for parallel in (1, 2):
+        calls.clear()
+        sweep_decoherence(cfg, [1e-3, 2e-3, 3e-3], parallel=parallel)
+        assert sorted(calls) == [1e-3, 2e-3, 3e-3], parallel

@@ -13,18 +13,25 @@ eigendecomposes (``eig_blocks``: one where the chiral fold holds),
 (at kappa > 0 it includes building I - kappa M, whose dephasing map is also
 timed alone), ``above_floor_ms`` the difference, ``dephasing_map_ms`` the
 lattice reduction (kappa > 0), ``residual_ms`` the residual check, and
-``solve_ms`` one ``solve_steady_state`` on a system whose blocks are built;
-``solve_over_floor`` is solve_ms / floor_ms.  Every time is the median of
---repeats calls, taken in turn so that a slow spell of the host touches
-every piece alike.  Each call holds OpenBLAS at one thread
-(``master_eq._one_blas_thread``), as every solve does, so the floor and
-the pieces run on the threads the solve runs on.
+``solve_ms`` one ``solve_steady_state`` on a system whose blocks are built,
+alone in its hold, so in a fresh workspace, as a bare solve runs;
+``solve_over_floor`` is solve_ms / floor_ms.  ``row_ms`` is the solve as a
+sweep row runs it: inside a hold that an untimed solve opened first, so on
+the workspace's second use (``master_eq._solve_hold``).  Every time is the
+median of --repeats calls, taken in turn so that a slow spell of the host
+touches every piece alike.  For each piece, ``<piece>_minflt`` and
+``<piece>_sys_ms`` are the medians of the minor page faults and the system
+CPU time that ``resource.getrusage`` counts over the call: the allocator's
+share of the piece.  Each call holds OpenBLAS at one thread
+(``master_eq._solve_hold``), as every solve does, so the floor and the
+pieces run on the threads the solve runs on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -52,11 +59,17 @@ def main() -> int:
     from edgesense import master_eq
     from edgesense.config import parse_config
 
-    def timed(f) -> float:
-        start = time.perf_counter()
-        with master_eq._one_blas_thread():
+    def measured(f, warm: bool = False) -> tuple[float, int, float]:
+        """(ms, minor faults, system ms) of one call of f in a hold, after one untimed call if warm."""
+        with master_eq._solve_hold():
+            if warm:
+                f()
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            start = time.perf_counter()
             f()
-        return 1e3 * (time.perf_counter() - start)
+            wall = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_SELF)
+        return 1e3 * wall, after.ru_minflt - before.ru_minflt, 1e3 * (after.ru_stime - before.ru_stime)
 
     def cfg(name):
         return parse_config((root / "configs" / f"{name}.json").read_text())
@@ -73,26 +86,38 @@ def main() -> int:
     for name in ("fig1", "fig2", "fig3", "fig4"):
         systems = [cfg(name).build_system() for _ in range(args.repeats)]
         out["sectors_ms"][name] = statistics.median(
-            timed(lambda s=s: master_eq._Sectors(s)) for s in systems
+            measured(lambda s=s: master_eq._Sectors(s))[0] for s in systems
         )
     for name, gate, kappa in CASES:
         sys_ = cfg(name).build_system(gate=gate)
         rho, _ = master_eq.solve_steady_state(sys_, kappa)
         fact = master_eq._SylvesterFactorization(sys_, kappa)
+
+        def residual():
+            # its two N x N arrays fresh, as in a bare solve
+            master_eq._residual(sys_, rho, kappa, master_eq._Workspace(sys_.size, 0))
+
+        def solve():
+            master_eq.solve_steady_state(sys_, kappa)
+
+        # piece: (call, whether an untimed call opens the hold first)
         pieces = {
-            "floor_ms": lambda: floor(sys_, kappa, fact),
-            "factorization_ms": lambda: master_eq._SylvesterFactorization(sys_, kappa),
-            "residual_ms": lambda: master_eq._residual(sys_, rho, kappa),
-            "solve_ms": lambda: master_eq.solve_steady_state(sys_, kappa),
+            "floor": (lambda: floor(sys_, kappa, fact), False),
+            "factorization": (lambda: master_eq._SylvesterFactorization(sys_, kappa), False),
+            "residual": (residual, False),
+            "solve": (solve, False),
+            "row": (solve, True),
         }
         if kappa > 0:
-            pieces["dephasing_map_ms"] = fact.dephasing_map
-        times = {key: [] for key in pieces}
+            pieces["dephasing_map"] = (fact.dephasing_map, False)
+        samples = {key: [] for key in pieces}
         for _ in range(args.repeats):
-            for key, f in pieces.items():
-                times[key].append(timed(f))
+            for key, (f, warm) in pieces.items():
+                samples[key].append(measured(f, warm))
         row = {"config": name, "gate": gate, "kappa": kappa, "eig_blocks": list(fact.eig_blocks)}
-        row.update({key: statistics.median(t) for key, t in times.items()})
+        for key, runs in samples.items():
+            for i, unit in enumerate(("ms", "minflt", "sys_ms")):
+                row[f"{key}_{unit}"] = statistics.median(r[i] for r in runs)
         row["above_floor_ms"] = row["factorization_ms"] - row["floor_ms"]
         row["solve_over_floor"] = row["solve_ms"] / row["floor_ms"]
         out["cases"].append(row)
