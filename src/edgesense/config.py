@@ -129,6 +129,17 @@ class SweepSettings:
     points: int | None = None
 
     def __post_init__(self) -> None:
+        # exactly one grid shape, however the settings are built
+        given = [k for shape in _SWEEP_SHAPES for k in shape if getattr(self, k) is not None]
+        shapes = [shape for shape in _SWEEP_SHAPES if set(shape) & set(given)]
+        if len(shapes) != 1:
+            raise ConfigError(
+                f"sweep: {given or 'no grid'} given; use exactly one of 'values', "
+                "'range' with 'step', or 'log_range' with 'points'"
+            )
+        missing = [k for k in shapes[0] if k not in given]
+        if missing:
+            raise ConfigError(f"sweep: {shapes[0][0]!r} needs {missing[0]!r}")
         if self.range is not None:
             lo, hi = self.range
             if hi < lo:
@@ -274,17 +285,7 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
     """Validate a decoded config document and materialize all defaults."""
     doc = _section("", RunConfig, raw)
     sw = doc.get("sweep")
-    if sw is not None:
-        shapes = [shape for shape in _SWEEP_SHAPES if any(k in sw for k in shape)]
-        if len(shapes) != 1:
-            given = [k for shape in shapes for k in shape if k in sw] or "no grid"
-            raise ConfigError(
-                f"sweep: {given} given; use exactly one of 'values', "
-                "'range' with 'step', or 'log_range' with 'points'"
-            )
-        missing = [k for k in shapes[0] if k not in sw]
-        if missing:
-            raise ConfigError(f"sweep: {shapes[0][0]!r} needs {missing[0]!r}")
+    sweep = None if sw is None else SweepSettings(**sw)
 
     lat = doc["lattice"]
     kind = lat["kind"]
@@ -301,10 +302,6 @@ def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) 
         raise ConfigError(
             "leads.mu_L < leads.mu_R: reverse bias requires --allow-reverse-bias"
         )
-
-    sweep = None
-    if sw is not None:
-        sweep = SweepSettings(**sw)
 
     return RunConfig(
         lattice=LatticeSettings(**lat),

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .master_eq import SolverError, _check_gate, _check_kappa, _solve_hold, at_gate, solve_steady_state
+from .master_eq import SolverError, _check_gate, _check_kappa, _one_blas_thread, at_gate, solve_steady_state
 from .observables import (
     current_profile,
     edge_imbalance,
@@ -140,12 +140,12 @@ def _run_sweep(
         _check_gate(gate)
         _check_kappa(kappa)
     workers = max(1, min(int(parallel), n))
-    # each row's solve nests in this hold, which also covers at_gate's build
-    # and keeps the rows' workspaces between them
-    with _solve_hold(stacklevel=5):
+    # each row's solve nests in this pin, which also covers at_gate's build
+    with _one_blas_thread(stacklevel=5):
         # every row is derived from one assembled system and differs from it
         # in the gate and kappa alone, which its sector structure leaves out:
-        # at_gate builds that structure here, once, before the pool starts
+        # at_gate builds that structure here, once, before the pool starts,
+        # and the rows pass their workspaces on through its idle list
         system = cfg.build_system()
         if system.index_map.n_lattice < 2 * _EDGE_SITES:
             raise ConfigError(

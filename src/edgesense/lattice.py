@@ -53,10 +53,13 @@ class Lattice:
             raise ValueError(f"hamiltonian shape {h.shape} does not match n_sites={self.n_sites}")
         if len(self.site_labels) != self.n_sites:
             raise ValueError("one site label per site is required")
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian has a non-finite entry")
         dev = np.abs(h - h.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"hamiltonian is not Hermitian (max deviation {dev:.3e})")
-        if np.abs(np.diag(h) - self.gate_offset).max() > HERMITICITY_TOL:
+        # written so that a NaN gate offset fails it
+        if not np.abs(np.diag(h) - self.gate_offset).max() <= HERMITICITY_TOL:
             raise ValueError("diagonal must equal the gate offset on every site")
 
 
@@ -99,7 +102,7 @@ def build_ssh(
         raise ValueError("length must be at least 2")
     if length % 2 and not allow_odd_length:
         raise ValueError("odd length breaks the weak-bond termination; pass allow_odd_length=True to force")
-    if hop_intra <= 0 or hop_inter <= 0:
+    if not (hop_intra > 0 and hop_inter > 0):
         raise ValueError("hopping amplitudes must be positive")
 
     h = np.zeros((length, length), dtype=complex)
@@ -114,7 +117,7 @@ def build_ssh(
         Cut(label=f"{labels[i]}|{labels[i + 1]}", bonds=((i, i + 1),))
         for i in range(length - 1)
     ]
-    return Lattice(
+    lat = Lattice(
         kind="ssh",
         n_sites=length,
         hamiltonian=h,
@@ -122,6 +125,9 @@ def build_ssh(
         gate_offset=gate,
         cuts=cuts,
     )
+    # an infinite hopping or a non-finite gate fails here
+    lat.validate()
+    return lat
 
 
 RHOMBIC_TERMINATIONS = ("hub", "arm")
@@ -151,7 +157,7 @@ def build_rhombic(
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
-    if hop <= 0:
+    if not hop > 0:
         raise ValueError("hop must be positive")
     if termination not in RHOMBIC_TERMINATIONS:
         raise ValueError(f"unknown termination {termination!r}; supported: {RHOMBIC_TERMINATIONS}")
@@ -193,7 +199,7 @@ def build_rhombic(
         cuts.append(Cut(label=f"A{n}|arms{n}", bonds=((a, b), (a, c))))
         cuts.append(Cut(label=f"arms{n}|A{n + 1}", bonds=((b, a2), (c, a2))))
 
-    return Lattice(
+    lat = Lattice(
         kind="rhombic",
         n_sites=n_sites,
         hamiltonian=h,
@@ -201,6 +207,9 @@ def build_rhombic(
         gate_offset=gate,
         cuts=cuts,
     )
+    # an infinite hop or a non-finite flux or gate fails here
+    lat.validate()
+    return lat
 
 
 def build_custom(hoppings: np.ndarray, gate: float = 0.0, site_labels: list[str] | None = None) -> Lattice:

@@ -34,12 +34,15 @@ class RingLead:
     def __post_init__(self) -> None:
         if self.size < MIN_RING_SIZE:
             raise ValueError(f"ring size must be at least {MIN_RING_SIZE}")
-        if self.hop <= 0:
-            raise ValueError("lead hopping must be positive")
-        if self.beta < 0:
+        # each check is written so that NaN fails it; beta = inf is a sharp step
+        if not 0 < self.hop < np.inf:
+            raise ValueError("lead hopping must be positive and finite")
+        if np.isnan(self.mu):
+            raise ValueError("mu must be a number")
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("relaxation rate gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("relaxation rate gamma must be positive and finite")
 
 
 def lead_dispersion(lead: RingLead) -> np.ndarray:
@@ -137,11 +140,11 @@ class CompositeSystem:
     drive: np.ndarray
     gamma_by_index: np.ndarray
     lattice_mask: np.ndarray
-    # the master equation's sector structure (``master_eq._Sectors``), built
-    # on the first solve; ``master_eq.at_gate`` carries it to each row a sweep
-    # derives from this system; an edit of h_total in place leaves it stale,
-    # which the residual refuses, and dataclasses.replace starts the copy
-    # without it
+    # the master equation's sector structure (``master_eq._Sectors``), with
+    # the idle workspaces of the solves on it, built on the first solve;
+    # ``master_eq.at_gate`` carries it to each row a sweep derives from this
+    # system; an edit of h_total in place leaves it stale, which the residual
+    # refuses, and dataclasses.replace starts the copy without it
     _sectors: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -152,6 +155,8 @@ class CompositeSystem:
         n = self.size
         if self.h_total.shape != (n, n):
             raise ValueError("composite Hamiltonian has the wrong shape")
+        if not np.isfinite(self.h_total).all():
+            raise ValueError("composite Hamiltonian has a non-finite entry")
         dev = np.abs(self.h_total - self.h_total.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"composite Hamiltonian is not Hermitian (max deviation {dev:.3e})")
@@ -182,8 +187,8 @@ def assemble_composite(
     disconnected, so the steady state is not unique.
     """
     lat.validate()
-    if epsilon < 0:
-        raise ValueError("contact coupling epsilon must be non-negative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError("contact coupling epsilon must be non-negative and finite")
 
     imap = IndexMap(n_lattice=lat.n_sites, n_left=left.size, n_right=right.size)
     n = imap.size

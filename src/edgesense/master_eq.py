@@ -64,8 +64,8 @@ the bonds of A as h_total holds them at that call: it keeps nothing on
 the system, so it checks the reused blocks rather than trusting them.
 The state it checks is Hermitian bit for bit, so one row gather gives
 both A rho and rho A^dag.  The large arrays of a solve live in a
-workspace that the rows of a sweep pass on to each other
-(``_solve_hold``).
+workspace kept with the system's blocks (``_Sectors.idle``), so the rows
+of a sweep pass it on to each other and it is freed with the system.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class SolverConfig:
     residual_tol: float = 1e-9   # in units of max(1, |target|_inf)
 
     def __post_init__(self) -> None:
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
 
 
 @dataclass
@@ -144,17 +144,18 @@ class _Workspace:
     products in their first N n entries (``head``), and the Hermitian part
     and the residual, which run after the last ``back``, use them whole.
     Every user writes what it reads first, so nothing one solve leaves
-    there reaches the next.  The rows of a sweep share N and n and reuse
-    the workspaces of earlier rows (``_solve_hold``): made afresh per row,
-    the arrays would be trimmed off the heap by the allocator and faulted
-    back in by the next row.  They are one allocation (1.25 MB at N = 140,
-    n = 102) rather than five: when the sweep frees it, glibc raises its
-    mmap threshold to that size, and the temporaries of later sweeps stay
-    on the heap instead of being trimmed and faulted in again.
+    there reaches the next.  A solve returns its workspace to the idle list
+    of the system's blocks (``_Sectors.idle``), and the next solve on those
+    blocks, such as the next row of a sweep, takes it from there: made
+    afresh per row, the arrays would be trimmed off the heap by the
+    allocator and faulted back in by the next row.  They are one
+    allocation (1.25 MB at N = 140, n = 102) rather than five: when the
+    system that keeps it is freed, glibc raises its mmap threshold to that
+    size, and the temporaries of later sweeps stay on the heap instead of
+    being trimmed and faulted in again.
     """
 
     def __init__(self, n_sites: int, n_kept: int):
-        self.shape = n_sites, n_kept
         shapes = [(n_sites, n_kept), (n_kept, n_sites), (n_kept, n_kept), (n_sites, n_sites),
                   (n_sites, n_sites)]
         ends = np.cumsum([0] + [a * b for a, b in shapes])
@@ -528,9 +529,13 @@ class _Sectors:
     ``_chiral_fold``, with which C x = c * conj(x) maps the + block onto
     the - block, or None; they are found on A_0 with the blocks.  C commutes
     with P and takes z to conj(z), so it is a symmetry of A only where z is
-    real, at gate 0, and only a solve there uses them.  The structure is
-    complete when it is built and is not changed after, so the rows of a
-    pooled sweep share it as it is.
+    real, at gate 0, and only a solve there uses them.  ``idle`` holds the
+    workspaces (``_Workspace``) of the solves on these blocks that have
+    finished, at most one per solve that ran at the same time: a solve pops
+    one or makes a fresh one, and returns it after its residual.  The list
+    is the one part that changes after the build; ``list.pop`` and
+    ``list.append`` are atomic, so the rows of a pooled sweep share the
+    structure, and each running row holds its own workspace.
     """
 
     def __init__(self, sys: CompositeSystem):
@@ -556,6 +561,7 @@ class _Sectors:
         self.block_sizes = tuple(b_s.shape[0] for _, b_s in blocks)
         self.chiral = _chiral_fold(c, self.blocks, tol)
         self.contacts = contact_bonds(sys)
+        self.idle: list[_Workspace] = []
 
 
 def _sectors(sys: CompositeSystem) -> _Sectors:
@@ -619,17 +625,20 @@ class _SylvesterFactorization:
     with its escape into the leads, and ``lattice_system`` the matrix
     I - kappa M of the dephasing self-consistency, built once at kappa > 0
     as ``shift``.  v, vinv, inv_denom and ``back``'s two N x n products live
-    in the workspace ``ws``, a fresh one by default.
+    in the workspace ``ws``, popped from the blocks' idle list, or a fresh
+    one if that is empty; the caller may hand it back (``solve_steady_state``).
     """
 
-    def __init__(self, sys: CompositeSystem, kappa: float, ws: _Workspace | None = None):
+    def __init__(self, sys: CompositeSystem, kappa: float):
         self.sectors = sectors = _sectors(sys)
         self.kappa = kappa
         self.latt = np.flatnonzero(sys.lattice_mask)
         z = complex(0.5 * kappa, sys.lattice.gate_offset)
         self.folded = z.imag == 0 and sectors.chiral is not None
-        size = sum(sectors.block_sizes)
-        self.ws = ws = _Workspace(sys.size, size) if ws is None else ws
+        try:
+            self.ws = ws = sectors.idle.pop()
+        except IndexError:
+            self.ws = ws = _Workspace(sys.size, sum(sectors.block_sizes))
         self.v, self.vinv = ws.v, ws.vinv
         lams, eig_blocks, start = [], [], 0
         for col_s, w_s, b_s, lat_s in sectors.blocks:
@@ -785,10 +794,10 @@ class _SylvesterFactorization:
 
 
 def _solve_sylvester(
-    sys: CompositeSystem, kappa: float, ws: _Workspace
-) -> tuple[np.ndarray, int, list[str], tuple[int, ...]]:
+    sys: CompositeSystem, kappa: float
+) -> tuple[np.ndarray, int, list[str], _SylvesterFactorization]:
     notes: list[str] = []
-    fact = _SylvesterFactorization(sys, kappa, ws)
+    fact = _SylvesterFactorization(sys, kappa)
     if fact.dark_pairs.any():
         notes.append(
             "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
@@ -798,7 +807,7 @@ def _solve_sylvester(
     solves = fact.latt.size + 2 if kappa > 0 else 1
     m = fact.apply(sys.drive)
     m += fact.sectors.rho_odd
-    return m, solves, notes, fact.eig_blocks
+    return m, solves, notes, fact
 
 
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
@@ -864,25 +873,21 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 
 _pin_lock = threading.Lock()
-_pin_depth = 0  # sweeps and solves currently in the hold
+_pin_depth = 0  # sweeps and solves currently pinned
 _pin_saved = 1  # the caller's thread count, restored by the last one out
-_idle: list[_Workspace] = []  # workspaces no running solve has checked out
 
 
 @contextmanager
-def _solve_hold(stacklevel: int = 4):
-    """Run OpenBLAS on one thread and keep the idle workspaces until the last open holder exits.
+def _one_blas_thread(stacklevel: int = 4):
+    """Run OpenBLAS on one thread until the last open holder exits, then restore the caller's count.
 
     Every ``solve_steady_state`` holds it, and a sweep holds it over all
-    its rows, so the count does not flap between pooled rows and each row
-    reuses a workspace an earlier row returned (``_workspace``).  One
-    thread per solve keeps pool workers from oversubscribing the cores and
-    makes the bytes independent of the caller's count and --parallel.  The
-    count is process-wide: BLAS calls on other threads meanwhile run on one
+    its rows, so the count does not flap between pooled rows.  One thread
+    per solve keeps pool workers from oversubscribing the cores and makes
+    the bytes independent of the caller's count and --parallel.  The count
+    is process-wide: BLAS calls on other threads meanwhile run on one
     thread too.  Without OpenBLAS thread control the first holder in warns
-    once, at ``stacklevel``, and BLAS keeps the caller's threads.  The last
-    holder out restores the caller's count and drops the idle workspaces,
-    so nothing is kept between sweeps.
+    once, at ``stacklevel``, and BLAS keeps the caller's threads.
     """
     global _pin_depth, _pin_saved
     threads = _openblas_threads()
@@ -904,31 +909,8 @@ def _solve_hold(stacklevel: int = 4):
     finally:
         with _pin_lock:
             _pin_depth -= 1
-            if _pin_depth == 0:
-                _idle.clear()
-                if threads is not None:
-                    threads[1](_pin_saved)
-
-
-@contextmanager
-def _workspace(n_sites: int, n_kept: int):
-    """A workspace of these shapes that no other running solve holds: an idle one, else a fresh one.
-
-    It goes back to the idle list of the open hold (``_solve_hold``) on
-    exit, for the next solve in the hold, which the caller keeps open
-    meanwhile.
-    """
-    with _pin_lock:
-        ws = next((w for w in _idle if w.shape == (n_sites, n_kept)), None)
-        if ws is not None:
-            _idle.remove(ws)
-    if ws is None:
-        ws = _Workspace(n_sites, n_kept)
-    try:
-        yield ws
-    finally:
-        with _pin_lock:
-            _idle.append(ws)
+            if _pin_depth == 0 and threads is not None:
+                threads[1](_pin_saved)
 
 
 def solve_steady_state(
@@ -942,9 +924,11 @@ def solve_steady_state(
     the solve's diagnostics.  Raises SolverError if the method finishes
     without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
     max(1, |target|_inf)).  The solve runs OpenBLAS on one thread and
-    restores the caller's count after, and it works in a workspace that an
-    earlier solve in an open sweep may have returned (``_solve_hold``); the
-    returned array is always its own.
+    restores the caller's count after (``_one_blas_thread``).  A Sylvester
+    solve works in a workspace from the idle list of sys's blocks and
+    returns it there after the residual, converged or not, for the next
+    solve on those blocks (``_Sectors.idle``); the returned array is always
+    its own.
     """
     cfg = cfg or SolverConfig()
     _check_kappa(kappa)
@@ -955,22 +939,22 @@ def solve_steady_state(
             DegenerateSteadyStateWarning,
             stacklevel=2,
         )
-    with _solve_hold():
-        sylvester = cfg.method == SolverMethod.SYLVESTER
-        # the Sylvester solve keeps the blocks' columns; a system's first solve builds the blocks
-        kept = sum(_sectors(sys).block_sizes) if sylvester else 0
-        with _workspace(sys.size, kept) as ws:
-            if sylvester:
-                m, iters, notes, eig_blocks = _solve_sylvester(sys, kappa, ws)
-            elif cfg.method == SolverMethod.FULL_LINEAR:
-                m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
-            else:
-                raise ValueError(f"unknown solver method {cfg.method!r}")
-            # either method's rho is Hermitian to rounding: return, and check, its
-            # Hermitian part, which is Hermitian bit for bit, as _residual needs
-            m += np.conjugate(m.T, out=ws.scratch)
-            m *= 0.5
-            res = _residual(sys, m, kappa, ws)
+    with _one_blas_thread():
+        if cfg.method == SolverMethod.SYLVESTER:
+            m, iters, notes, fact = _solve_sylvester(sys, kappa)
+            ws, idle, eig_blocks = fact.ws, fact.sectors.idle, fact.eig_blocks
+        elif cfg.method == SolverMethod.FULL_LINEAR:
+            m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
+            # a fresh workspace for the Hermitian part and the residual, pooled nowhere
+            ws, idle = _Workspace(sys.size, 0), []
+        else:
+            raise ValueError(f"unknown solver method {cfg.method!r}")
+        # either method's rho is Hermitian to rounding: return, and check, its
+        # Hermitian part, which is Hermitian bit for bit, as _residual needs
+        m += np.conjugate(m.T, out=ws.scratch)
+        m *= 0.5
+        res = _residual(sys, m, kappa, ws)
+        idle.append(ws)
     wall = time.perf_counter() - start
 
     diag = SolveDiagnostics(
@@ -992,6 +976,8 @@ def solve_steady_state(
 
 def validate_spdm(matrix: np.ndarray, tol: float = 1e-8) -> None:
     """Raise ValueError unless the density matrix is Hermitian with occupations in [0, 1], to tol."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("density matrix has a non-finite entry")
     if np.abs(matrix - matrix.conj().T).max() > tol:
         raise ValueError("density matrix is not Hermitian")
     ev = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))

@@ -272,8 +272,19 @@ class TestConfigParsing:
             parse_config_dict(raw)
 
     def test_sweep_step_rule_holds_in_python(self):
-        # settings built in Python follow the parser's rule: a step that does
-        # not divide the range is refused, not rounded to another grid
+        # settings built in Python follow the parser's rules: exactly one grid
+        # shape, and a step that does not divide the range is refused, not
+        # rounded to another grid
+        shapes = [
+            ({}, "sweep: no grid given"),
+            ({"range": (0.0, 1.0)}, "sweep: 'range' needs 'step'"),
+            ({"log_range": (1e-3, 1.0)}, "sweep: 'log_range' needs 'points'"),
+            ({"values": (0.0,), "range": (0.0, 1.0), "step": 0.5},
+             "sweep: ['values', 'range', 'step'] given"),
+        ]
+        for kwargs, message in shapes:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                SweepSettings("delta", **kwargs)
         with pytest.raises(ConfigError, match=r"^sweep.step: 0.4 does not divide the range \[0.0, 1.0\]"):
             SweepSettings("delta", range=(0.0, 1.0), step=0.4)
         with pytest.raises(ConfigError, match="upper bound below lower"):

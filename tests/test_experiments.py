@@ -1,9 +1,9 @@
-import contextlib
 import dataclasses
 import math
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -385,32 +385,46 @@ def table_bytes(table):
     return [table.column(name).tobytes() for name in ("axis", "current", "residual", *table.extra_columns)]
 
 
-def poison_idle_workspaces(monkeypatch):
-    """Fill every idle workspace with NaN as each solve checks one out; return the workspaces handed out.
+def track_workspaces(monkeypatch):
+    """Fill each idle workspace with NaN as a solve takes it; return the workspaces handed out.
 
-    A workspace handed to a solve while another solve still holds it fails the test.
+    Every ``_Sectors`` built meanwhile keeps its idle workspaces in a list
+    that poisons the one it hands out.  A workspace handed to a
+    factorization while another running solve still holds it, from its
+    factorization until it goes back to the idle list, fails the test.
     """
-    checkout = master_eq._workspace
+    lock = threading.Lock()
     handed = []
     busy = set()
 
-    @contextlib.contextmanager
-    def poisoned(*shape):
-        with master_eq._pin_lock:
-            for ws in master_eq._idle:
-                ws.block.fill(np.nan)
-        with checkout(*shape) as ws:
-            with master_eq._pin_lock:
-                assert id(ws) not in busy
-                busy.add(id(ws))
-            handed.append(ws)
-            try:
-                yield ws
-            finally:
-                with master_eq._pin_lock:
-                    busy.discard(id(ws))
+    class PoisonedIdle(list):
+        def pop(self):
+            ws = super().pop()
+            ws.block.fill(np.nan)
+            return ws
 
-    monkeypatch.setattr(master_eq, "_workspace", poisoned)
+        def append(self, ws):
+            with lock:
+                busy.discard(id(ws))
+            super().append(ws)
+
+    build = master_eq._Sectors.__init__
+    factorize = master_eq._SylvesterFactorization.__init__
+
+    def sectors(self, sys):
+        build(self, sys)
+        self.idle = PoisonedIdle()
+
+    def factorization(self, sys, kappa):
+        factorize(self, sys, kappa)
+        with lock:
+            assert id(self.ws) not in busy
+            busy.add(id(self.ws))
+        # held here, so no id is reused while the test runs
+        handed.append(self.ws)
+
+    monkeypatch.setattr(master_eq._Sectors, "__init__", sectors)
+    monkeypatch.setattr(master_eq._SylvesterFactorization, "__init__", factorization)
     return handed
 
 
@@ -425,7 +439,7 @@ class TestSweepWorkspaces:
         kappas = fig2.sweep.materialize()[::5]
         gates = [-0.3, -0.1, 0.0, 0.1, 0.3]
         expected = [sweep_decoherence(fig2, kappas), sweep_gate(fig1, gates)]
-        handed = poison_idle_workspaces(monkeypatch)
+        handed = track_workspaces(monkeypatch)
         tables = [
             sweep_decoherence(fig2, kappas, parallel=parallel),
             sweep_gate(fig1, gates, parallel=parallel),
@@ -440,7 +454,7 @@ class TestSweepWorkspaces:
         # frequent thread switches, and more workers than the two cores of a small host
         deltas = np.linspace(-0.2, 0.2, 16)
         expected = table_bytes(sweep_gate(small_cfg(), deltas, kappa=1e-3))
-        handed = poison_idle_workspaces(monkeypatch)
+        handed = track_workspaces(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -452,22 +466,47 @@ class TestSweepWorkspaces:
         assert len({id(ws) for ws in handed}) <= 4
 
     def test_a_row_keeps_its_matrix(self):
-        system = parse_config((CONFIGS / "fig2.json").read_text()).build_system()
-        with master_eq._solve_hold():
-            first, _ = solve_steady_state(system, 1e-3)
-            kept = first.copy()
-            (ws,) = master_eq._idle
-            second, _ = solve_steady_state(system, 2e-3)
-            assert master_eq._idle == [ws]
-            assert not np.shares_memory(first, ws.block)
-            assert not np.shares_memory(second, ws.block)
+        # two rows derived from one system, as a sweep derives them, share its blocks
+        base = parse_config((CONFIGS / "fig2.json").read_text()).build_system()
+        first, _ = solve_steady_state(master_eq.at_gate(base, 0.0), 1e-3)
+        kept = first.copy()
+        second, _ = solve_steady_state(master_eq.at_gate(base, 0.1), 2e-3)
+        (ws,) = master_eq._sectors(base).idle
+        assert not np.shares_memory(first, ws.block)
+        assert not np.shares_memory(second, ws.block)
         assert first.tobytes() == kept.tobytes()
-        assert master_eq._idle == []
+
+    def test_bare_solves_on_one_system_reuse_one_workspace(self):
+        system = small_cfg().build_system()
+        solve_steady_state(system, 1e-3)
+        idle = master_eq._sectors(system).idle
+        (ws,) = idle
+        solve_steady_state(system, 2e-3)
+        assert len(idle) == 1 and idle[0] is ws
+
+    def test_a_replaced_copy_starts_with_an_empty_pool(self):
+        system = small_cfg().build_system()
+        solve_steady_state(system, 1e-3)
+        (ws,) = master_eq._sectors(system).idle
+        copy = dataclasses.replace(system)
+        assert master_eq._sectors(copy).idle == []
+        solve_steady_state(copy, 1e-3)
+        (own,) = master_eq._sectors(copy).idle
+        assert own is not ws
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_no_workspace_outlives_its_sweep(self, monkeypatch, parallel):
+        refs = []
+        factorize = master_eq._SylvesterFactorization.__init__
+
+        def factorization(self, sys, kappa):
+            factorize(self, sys, kappa)
+            refs.append(weakref.ref(self.ws))
+
+        monkeypatch.setattr(master_eq._SylvesterFactorization, "__init__", factorization)
         sweep_decoherence(small_cfg(), [1e-3, 2e-3, 3e-3], parallel=parallel)
-        assert master_eq._idle == [] and master_eq._pin_depth == 0
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert master_eq._pin_depth == 0
         # the third eigendecomposition fails, after a row has returned its workspace
         eig = np.linalg.eig
         calls = []
@@ -479,18 +518,21 @@ class TestSweepWorkspaces:
             return eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", failing)
+        refs.clear()
         with pytest.raises(np.linalg.LinAlgError, match="boom"):
             sweep_decoherence(small_cfg(), [1e-3, 2e-3, 3e-3, 4e-3], parallel=parallel)
-        assert master_eq._idle == [] and master_eq._pin_depth == 0
+        assert refs and all(ref() is None for ref in refs)
+        assert master_eq._pin_depth == 0
 
     def test_concurrent_sweeps_each_match_their_serial_run(self, monkeypatch):
         # two sweeps of different sizes from a user's pool, both started
-        # before either solves, so their rows share one hold and its idle list
+        # before either solves, so their rows run under one pin
         sweeps = [
             lambda: sweep_gate(small_cfg(), [-0.1, 0.0, 0.1], kappa=1e-3),
             lambda: sweep_decoherence(small_cfg(L=6), [1e-3, 2e-3, 3e-3]),
         ]
         expected = [table_bytes(run()) for run in sweeps]
+        handed = track_workspaces(monkeypatch)
         solve = experiments.solve_steady_state
         started = threading.Barrier(2, timeout=30)
         waited = set()
@@ -507,7 +549,8 @@ class TestSweepWorkspaces:
             tables = list(pool.map(lambda run: run(), sweeps))
         assert len(waited) == 2
         assert [table_bytes(t) for t in tables] == expected
-        assert master_eq._idle == []
+        # each serial sweep reused the one workspace its own system made
+        assert len(handed) == 6 and len({id(ws) for ws in handed}) == 2
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from edgesense import config, master_eq
 from edgesense.config import parse_config
 from edgesense.experiments import sweep_decoherence, sweep_gate, write_sweep_csv
-from edgesense.lattice import build_custom, build_rhombic, build_ssh
+from edgesense.lattice import Lattice, build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite, contact_bonds
 from edgesense.master_eq import (
     DegenerateSteadyStateWarning,
@@ -77,6 +77,50 @@ CORNERS = {
 }
 
 
+def nan_in_composite():
+    sys = make_ssh_system()
+    sys.h_total[0, 0] = math.nan
+    sys.validate()
+
+
+def nan_in_spdm():
+    rho = 0.5 * np.eye(4, dtype=complex)
+    rho[1, 2] = rho[2, 1] = math.nan
+    validate_spdm(rho)
+
+
+# entry point and the message it refuses with; beta = inf stays legal
+NON_FINITE = {
+    "ring-gamma-nan": (lambda: RingLead(8, gamma=math.nan), "gamma must be positive and finite"),
+    "ring-gamma-inf": (lambda: RingLead(8, gamma=math.inf), "gamma must be positive and finite"),
+    "ring-hop-nan": (lambda: RingLead(8, hop=math.nan), "hopping must be positive and finite"),
+    "ring-hop-inf": (lambda: RingLead(8, hop=math.inf), "hopping must be positive and finite"),
+    "ring-beta-nan": (lambda: RingLead(8, beta=math.nan), "beta must be non-negative"),
+    "ring-mu-nan": (lambda: RingLead(8, mu=math.nan), "mu must be a number"),
+    "ssh-hop-nan": (lambda: build_ssh(4, math.nan, 1.0), "hopping amplitudes must be positive"),
+    "ssh-hop-inf": (lambda: build_ssh(4, 0.5, math.inf), "non-finite entry"),
+    "ssh-gate-nan": (lambda: build_ssh(4, 0.5, 1.0, gate=math.nan), "non-finite entry"),
+    "rhombic-hop-nan": (lambda: build_rhombic(2, math.nan, math.pi), "hop must be positive"),
+    "rhombic-flux-nan": (lambda: build_rhombic(2, 1.0, math.nan), "non-finite entry"),
+    "lattice-gate-offset-nan": (
+        lambda: Lattice("custom", 2, np.zeros((2, 2), dtype=complex), ["1", "2"], math.nan).validate(),
+        "diagonal must equal the gate offset",
+    ),
+    "epsilon-nan": (
+        lambda: assemble_composite(build_ssh(4, 0.5, 1.0), RingLead(8), RingLead(8), math.nan),
+        "epsilon must be non-negative and finite",
+    ),
+    "epsilon-inf": (
+        lambda: assemble_composite(build_ssh(4, 0.5, 1.0), RingLead(8), RingLead(8), math.inf),
+        "epsilon must be non-negative and finite",
+    ),
+    "composite-nan": (nan_in_composite, "composite Hamiltonian has a non-finite entry"),
+    "residual-tol-nan": (lambda: SolverConfig(residual_tol=math.nan), "residual_tol must be positive and finite"),
+    "residual-tol-inf": (lambda: SolverConfig(residual_tol=math.inf), "residual_tol must be positive and finite"),
+    "spdm-nan": (nan_in_spdm, "density matrix has a non-finite entry"),
+}
+
+
 class TestGenerator:
     def test_superoperator_matches_elementwise_action(self):
         # apply_liouvillian for any rho, and the solve's one-pass residual for
@@ -133,6 +177,13 @@ class TestGenerator:
     def test_non_finite_gate_rejected(self, small_system, gate):
         with pytest.raises(ValueError, match="gate must be finite"):
             at_gate(small_system, gate)
+
+    @pytest.mark.parametrize("name", list(NON_FINITE))
+    def test_non_finite_parameters_rejected(self, name):
+        # each range check is written so that NaN fails it
+        call, message = NON_FINITE[name]
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_disconnected_thermal_state_is_stationary(self):
         sys = make_ssh_system(epsilon=0.0)

@@ -9,22 +9,23 @@ and the chiral phases found with them (``master_eq._Sectors``) on each
 shipped config.  For each case (config, gate, kappa), ``floor_ms`` is
 ``np.linalg.eig`` + ``inv`` of the blocks the factorization actually
 eigendecomposes (``eig_blocks``: one where the chiral fold holds),
-``factorization_ms`` the factorization with the blocks already found
-(at kappa > 0 it includes building I - kappa M, whose dephasing map is also
-timed alone), ``above_floor_ms`` the difference, ``dephasing_map_ms`` the
-lattice reduction (kappa > 0), ``residual_ms`` the residual check, and
-``solve_ms`` one ``solve_steady_state`` on a system whose blocks are built,
-alone in its hold, so in a fresh workspace, as a bare solve runs;
-``solve_over_floor`` is solve_ms / floor_ms.  ``row_ms`` is the solve as a
-sweep row runs it: inside a hold that an untimed solve opened first, so on
-the workspace's second use (``master_eq._solve_hold``).  Every time is the
-median of --repeats calls, taken in turn so that a slow spell of the host
-touches every piece alike.  For each piece, ``<piece>_minflt`` and
-``<piece>_sys_ms`` are the medians of the minor page faults and the system
-CPU time that ``resource.getrusage`` counts over the call: the allocator's
-share of the piece.  Each call holds OpenBLAS at one thread
-(``master_eq._solve_hold``), as every solve does, so the floor and the
-pieces run on the threads the solve runs on.
+``factorization_ms`` the factorization with the blocks already found, in a
+fresh workspace (at kappa > 0 it includes building I - kappa M, whose
+dephasing map is also timed alone), ``above_floor_ms`` the difference,
+``dephasing_map_ms`` the lattice reduction (kappa > 0), ``residual_ms`` the
+residual check, and ``solve_ms`` one ``solve_steady_state`` on a system
+whose blocks are built but hold no idle workspace, so in a fresh
+workspace, as a system's first solve runs; ``solve_over_floor`` is
+solve_ms / floor_ms.  ``row_ms`` is the solve as a sweep row runs it: on a
+system whose blocks already hold an idle workspace
+(``master_eq._Sectors.idle``), so the second solve of one system.  Every
+time is the median of --repeats calls, taken in turn so that a slow spell
+of the host touches every piece alike.  For each piece, ``<piece>_minflt``
+and ``<piece>_sys_ms`` are the medians of the minor page faults and the
+system CPU time that ``resource.getrusage`` counts over the call: the
+allocator's share of the piece.  Each call holds OpenBLAS at one thread
+(``master_eq._one_blas_thread``), as every solve does, so the floor and
+the pieces run on the threads the solve runs on.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ def main() -> int:
     from edgesense import master_eq
     from edgesense.config import parse_config
 
-    def measured(f, warm: bool = False) -> tuple[float, int, float]:
-        """(ms, minor faults, system ms) of one call of f in a hold, after one untimed call if warm."""
-        with master_eq._solve_hold():
-            if warm:
-                f()
+    def measured(f, setup=None) -> tuple[float, int, float]:
+        """(ms, minor faults, system ms) of one call of f under the pin, after an untimed setup()."""
+        with master_eq._one_blas_thread():
+            if setup is not None:
+                setup()
             before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
             f()
@@ -92,6 +93,7 @@ def main() -> int:
         sys_ = cfg(name).build_system(gate=gate)
         rho, _ = master_eq.solve_steady_state(sys_, kappa)
         fact = master_eq._SylvesterFactorization(sys_, kappa)
+        idle = master_eq._sectors(sys_).idle
 
         def residual():
             # its two N x N arrays fresh, as in a bare solve
@@ -100,20 +102,25 @@ def main() -> int:
         def solve():
             master_eq.solve_steady_state(sys_, kappa)
 
-        # piece: (call, whether an untimed call opens the hold first)
+        def one_idle():
+            # the solve before it leaves one workspace on the blocks
+            idle.clear()
+            solve()
+
+        # piece: (call, untimed setup)
         pieces = {
-            "floor": (lambda: floor(sys_, kappa, fact), False),
-            "factorization": (lambda: master_eq._SylvesterFactorization(sys_, kappa), False),
-            "residual": (residual, False),
-            "solve": (solve, False),
-            "row": (solve, True),
+            "floor": (lambda: floor(sys_, kappa, fact), None),
+            "factorization": (lambda: master_eq._SylvesterFactorization(sys_, kappa), idle.clear),
+            "residual": (residual, None),
+            "solve": (solve, idle.clear),
+            "row": (solve, one_idle),
         }
         if kappa > 0:
-            pieces["dephasing_map"] = (fact.dephasing_map, False)
+            pieces["dephasing_map"] = (fact.dephasing_map, None)
         samples = {key: [] for key in pieces}
         for _ in range(args.repeats):
-            for key, (f, warm) in pieces.items():
-                samples[key].append(measured(f, warm))
+            for key, (f, setup) in pieces.items():
+                samples[key].append(measured(f, setup))
         row = {"config": name, "gate": gate, "kappa": kappa, "eig_blocks": list(fact.eig_blocks)}
         for key, runs in samples.items():
             for i, unit in enumerate(("ms", "minflt", "sys_ms")):
