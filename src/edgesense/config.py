@@ -261,7 +261,7 @@ def _value(path: str, annotation: str, value: Any, rule: str | None = None) -> A
             raise ConfigError(f"{path}: {value!r} is not a non-empty string")
         if choices is not None and value not in choices:
             raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
-        return SolverMethod(value) if kind == "SolverMethod" else value
+        return value
     if rule == "leads.beta" and value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):

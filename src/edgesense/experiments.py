@@ -90,10 +90,11 @@ def conduction_window(mu_left: float, mu_right: float, gamma: float) -> tuple[fl
     The lead relaxation broadens each chemical-potential step by gamma/2,
     so the interval is (mu_right - gamma/2, mu_left + gamma/2).
     """
-    if mu_left < mu_right:
-        raise ValueError("mu_left must not be below mu_right")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    # each check is written so that NaN fails it
+    if not mu_left >= mu_right:
+        raise ValueError("mu_left and mu_right must be numbers, mu_left not below mu_right")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     return (mu_right - 0.5 * gamma, mu_left + 0.5 * gamma)
 
 
@@ -296,8 +297,9 @@ class EsakiTsuFit:
     relative_residual: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("a and c must be positive")
+        # written so that NaN fails it
+        if not (0 < self.a < math.inf and 0 < self.c < math.inf):
+            raise ValueError("a and c must be positive and finite")
 
     @property
     def kappa_peak(self) -> float:

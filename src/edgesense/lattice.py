@@ -12,11 +12,22 @@ gaps at +-J/sqrt(2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+
+
+def integral(value: object, name: str) -> int:
+    """value as an int: an int, a numpy integer or a float with no fraction; else a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,7 @@ def build_ssh(
     allow_odd_length : permit odd ``length`` (breaks the symmetric
         weak-bond termination; only one end hosts an edge state).
     """
+    length = integral(length, "length")
     if length < 2:
         raise ValueError("length must be at least 2")
     if length % 2 and not allow_odd_length:
@@ -155,6 +167,7 @@ def build_rhombic(
                   terminal hub.  The dangling pairs contribute zero-energy
                   modes instead of in-gap states.
     """
+    n_cells = integral(n_cells, "n_cells")
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     if not hop > 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import HERMITICITY_TOL, Lattice
+from .lattice import HERMITICITY_TOL, Lattice, integral
 
 MIN_RING_SIZE = 4
 
@@ -32,6 +32,8 @@ class RingLead:
     gamma: float = 0.05
 
     def __post_init__(self) -> None:
+        # a frozen field is set through object
+        object.__setattr__(self, "size", integral(self.size, "ring size"))
         if self.size < MIN_RING_SIZE:
             raise ValueError(f"ring size must be at least {MIN_RING_SIZE}")
         # each check is written so that NaN fails it; beta = inf is a sharp step

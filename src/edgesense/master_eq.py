@@ -59,13 +59,15 @@ with the generator A = iH + Delta.  Two steady-state routes are provided:
   singular it warns and returns the minimal-norm steady state, as the
   guard does, and it serves as an independent oracle.
 
-Each solve reports the residual of the equation of motion, taken over
-the bonds of A as h_total holds them at that call: it keeps nothing on
-the system, so it checks the reused blocks rather than trusting them.
-The state it checks is Hermitian bit for bit, so one row gather gives
-both A rho and rho A^dag.  The large arrays of a solve live in a
-workspace kept with the system's blocks (``_Sectors.idle``), so the rows
-of a sweep pass it on to each other and it is freed with the system.
+The equation of motion is written once (``_motion``), over the bonds of A
+as h_total holds them at that call: it keeps nothing on the system, so
+the residual each solve reports checks the reused blocks rather than
+trusting them.  The state it takes is Hermitian bit for bit, so one row
+gather gives both A rho and rho A^dag; ``apply_liouvillian`` takes any
+rho through its Hermitian and anti-Hermitian parts.  The large arrays of
+a solve live in a workspace kept with the system's blocks
+(``_Sectors.idle``), so the rows of a sweep pass it on to each other and
+it is freed with the system.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ class SolverConfig:
     residual_tol: float = 1e-9   # in units of max(1, |target|_inf)
 
     def __post_init__(self) -> None:
+        # a frozen field is set through object; an unknown name raises here, before any solve
+        object.__setattr__(self, "method", SolverMethod(self.method))
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("residual_tol must be positive and finite")
 
@@ -212,29 +216,6 @@ def _bonds(sys: CompositeSystem, kappa: float) -> tuple[np.ndarray, np.ndarray, 
     return idx, amp, 1j * h.diagonal() + _half_rates(sys, kappa)
 
 
-def _liouvillian(sys: CompositeSystem, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> d rho/dt = drive - A rho - rho A^dag + kappa diag_lattice(rho), A = iH + Delta.
-
-    Both products are summed over A's rows (``_bonds``), for any rho:
-    (A rho)[i] = diag[i] rho[i] + sum_k amp[i, k] rho[idx[i, k]] and
-    (rho A^dag)[:, i] = rho[:, i] conj(diag[i]) + sum_k rho[:, idx[i, k]] conj(amp[i, k]).
-    """
-    _check_kappa(kappa)
-    idx, amp, diag = _bonds(sys, kappa)
-    latt = np.flatnonzero(sys.lattice_mask)
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        out = sys.drive - diag[:, None] * m
-        out -= m * diag.conj()
-        for k in range(idx.shape[1]):
-            out -= amp[:, k, None] * m[idx[:, k]]
-            out -= m[:, idx[:, k]] * amp[:, k].conj()
-        out[latt, latt] += kappa * m[latt, latt]
-        return out
-
-    return rhs
-
-
 def apply_liouvillian(sys: CompositeSystem, rho: np.ndarray, kappa: float) -> np.ndarray:
     """Right-hand side of the closed single-particle master equation.
 
@@ -242,19 +223,28 @@ def apply_liouvillian(sys: CompositeSystem, rho: np.ndarray, kappa: float) -> np
     gamma/2 per index plus the thermal drive; cross-lead coherences decay
     with no source.  Dephasing: inter-site coherences decay at kappa
     (kappa/2 per lattice index) while the lattice diagonal is untouched.
-    Both, and the commutator with H, are -(A rho + rho A^dag), taken over
-    the bonds of A (``_liouvillian``).
+    Both, and the commutator with H, are -(A rho + rho A^dag).  The map is
+    linear but for the drive, so with x = (rho + rho^dag)/2 and
+    y = (rho - rho^dag)/(2i), both Hermitian bit for bit,
+    L(rho) = L(x) + i (L(y) - drive), each term the solve's own equation of
+    motion (``_motion``): exact for any rho, and for a Hermitian rho, where
+    y = 0, that equation bit for bit.
     """
-    return _liouvillian(sys, kappa)(rho)
+    _check_kappa(kappa)
+    rho = np.asarray(rho, dtype=complex)
+    ws = _Workspace(sys.size, 0)
+    out = _motion(sys, 0.5 * (rho + np.conjugate(rho.T)), kappa, ws).copy()
+    out += 1j * (_motion(sys, -0.5j * (rho - np.conjugate(rho.T)), kappa, ws) - sys.drive)
+    return out
 
 
-def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> float:
-    """|d m/dt|_inf over max(1, |target|_inf), for an m that is Hermitian bit for bit.
+def _motion(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> np.ndarray:
+    """d m/dt = drive - A m - m A^dag + kappa diag_lattice(m), in ws.scratch, for an m that is Hermitian bit for bit.
 
     Then m A^dag = (A m)^dag, so one row gather over A's rows (``_bonds``)
     gives both products: d m/dt = drive - (p + p^dag) + kappa diag_lattice(m)
-    with p = A m.  It reads h_total and m, and ws's two N x N arrays only
-    after it has written them.
+    with p = A m, in ws.product.  It reads h_total and m, and ws's two
+    N x N arrays only after it has written them.
     """
     idx, amp, diag = _bonds(sys, kappa)
     p = np.multiply(diag[:, None], m, out=ws.product)
@@ -269,8 +259,14 @@ def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace)
     np.subtract(sys.drive, out, out=out)
     latt = np.flatnonzero(sys.lattice_mask)
     out[latt, latt] += kappa * m[latt, latt]
-    # p is spent: its real part takes |out|
-    return float(np.abs(out, out=p.real).max()) / _residual_scale(sys)
+    return out
+
+
+def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> float:
+    """|d m/dt|_inf over max(1, |target|_inf), for an m that is Hermitian bit for bit (``_motion``)."""
+    out = _motion(sys, m, kappa, ws)
+    # A m is spent: the real part of its array takes |out|
+    return float(np.abs(out, out=ws.product.real).max()) / _residual_scale(sys)
 
 
 def _pair_basis(perm: np.ndarray, d: np.ndarray) -> tuple[tuple, tuple]:
@@ -793,23 +789,6 @@ class _SylvesterFactorization:
         return k
 
 
-def _solve_sylvester(
-    sys: CompositeSystem, kappa: float
-) -> tuple[np.ndarray, int, list[str], _SylvesterFactorization]:
-    notes: list[str] = []
-    fact = _SylvesterFactorization(sys, kappa)
-    if fact.dark_pairs.any():
-        notes.append(
-            "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
-        )
-        warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
-    # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
-    solves = fact.latt.size + 2 if kappa > 0 else 1
-    m = fact.apply(sys.drive)
-    m += fact.sectors.rho_odd
-    return m, solves, notes, fact
-
-
 def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
     """Vectorized generator L with vec(d rho/dt) = L vec(rho) + vec(drive).
 
@@ -940,15 +919,23 @@ def solve_steady_state(
             stacklevel=2,
         )
     with _one_blas_thread():
-        if cfg.method == SolverMethod.SYLVESTER:
-            m, iters, notes, fact = _solve_sylvester(sys, kappa)
+        if cfg.method is SolverMethod.SYLVESTER:
+            fact = _SylvesterFactorization(sys, kappa)
+            notes = []
+            if fact.dark_pairs.any():
+                notes.append(
+                    "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
+                )
+                warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=2)
+            m = fact.apply(sys.drive)
+            m += fact.sectors.rho_odd
+            # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
+            iters = fact.latt.size + 2 if kappa > 0 else 1
             ws, idle, eig_blocks = fact.ws, fact.sectors.idle, fact.eig_blocks
-        elif cfg.method == SolverMethod.FULL_LINEAR:
+        else:
             m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
             # a fresh workspace for the Hermitian part and the residual, pooled nowhere
             ws, idle = _Workspace(sys.size, 0), []
-        else:
-            raise ValueError(f"unknown solver method {cfg.method!r}")
         # either method's rho is Hermitian to rounding: return, and check, its
         # Hermitian part, which is Hermitian bit for bit, as _residual needs
         m += np.conjugate(m.T, out=ws.scratch)

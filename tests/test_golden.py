@@ -37,7 +37,6 @@ import json
 import math
 import re
 import shutil
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -280,6 +279,4 @@ def test_spdm(fig, corpus):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        sys.exit(f"usage: PYTHONPATH=src python {Path(__file__).name}")
     regenerate()

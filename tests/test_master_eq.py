@@ -11,7 +11,13 @@ from numpy.testing import assert_allclose
 
 from edgesense import config, master_eq
 from edgesense.config import parse_config
-from edgesense.experiments import sweep_decoherence, sweep_gate, write_sweep_csv
+from edgesense.experiments import (
+    EsakiTsuFit,
+    conduction_window,
+    sweep_decoherence,
+    sweep_gate,
+    write_sweep_csv,
+)
 from edgesense.lattice import Lattice, build_custom, build_rhombic, build_ssh
 from edgesense.leads import CompositeSystem, IndexMap, RingLead, assemble_composite, contact_bonds
 from edgesense.master_eq import (
@@ -118,6 +124,23 @@ NON_FINITE = {
     "residual-tol-nan": (lambda: SolverConfig(residual_tol=math.nan), "residual_tol must be positive and finite"),
     "residual-tol-inf": (lambda: SolverConfig(residual_tol=math.inf), "residual_tol must be positive and finite"),
     "spdm-nan": (nan_in_spdm, "density matrix has a non-finite entry"),
+    "window-gamma-nan": (lambda: conduction_window(0.1, -0.1, math.nan), "gamma must be nonnegative and finite"),
+    "window-gamma-inf": (lambda: conduction_window(0.1, -0.1, math.inf), "gamma must be nonnegative and finite"),
+    "window-mu-left-nan": (lambda: conduction_window(math.nan, 0.0, 0.1), "mu_left and mu_right must be numbers"),
+    "window-mu-right-nan": (lambda: conduction_window(0.1, math.nan, 0.1), "mu_left and mu_right must be numbers"),
+    "fit-a-nan": (lambda: EsakiTsuFit(math.nan, 1.0, 0.0), "a and c must be positive and finite"),
+    "fit-c-nan": (lambda: EsakiTsuFit(1.0, math.nan, 0.0), "a and c must be positive and finite"),
+    "fit-a-inf": (lambda: EsakiTsuFit(math.inf, 1.0, 0.0), "a and c must be positive and finite"),
+    "fit-c-inf": (lambda: EsakiTsuFit(1.0, math.inf, 0.0), "a and c must be positive and finite"),
+}
+# entry point given a size that is not an integer, and the name it refuses it by
+NON_INTEGRAL = {
+    "ring-size": (lambda: RingLead(size=8.5), "ring size"),
+    "ring-size-nan": (lambda: RingLead(size=math.nan), "ring size"),
+    "ssh-length": (lambda: build_ssh(4.5, 0.5, 1.0), "length"),
+    "ssh-length-text": (lambda: build_ssh("4", 0.5, 1.0), "length"),
+    "rhombic-cells": (lambda: build_rhombic(2.5, 1.0, math.pi), "n_cells"),
+    "rhombic-cells-inf": (lambda: build_rhombic(math.inf, 1.0, math.pi), "n_cells"),
 }
 
 
@@ -184,6 +207,25 @@ class TestGenerator:
         call, message = NON_FINITE[name]
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("name", list(NON_INTEGRAL))
+    def test_non_integral_sizes_rejected(self, name):
+        call, what = NON_INTEGRAL[name]
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            call()
+
+    def test_integral_sizes_accepted(self):
+        # numpy integers, and floats with no fraction as the config parser casts them
+        assert RingLead(size=np.int64(8)).size == RingLead(size=8.0).size == 8
+        assert type(RingLead(size=8.0).size) is int
+        assert build_ssh(4.0, 0.5, 1.0).n_sites == build_ssh(np.int32(4), 0.5, 1.0).n_sites == 4
+        assert build_rhombic(2.0, 1.0, math.pi).n_sites == build_rhombic(2, 1.0, math.pi).n_sites
+
+    def test_solver_method_checked_on_construction(self):
+        # a method name is coerced to SolverMethod, and an unknown one is refused before any solve
+        assert SolverConfig(method="FullLinearSolve").method is SolverMethod.FULL_LINEAR
+        with pytest.raises(ValueError, match="bogus"):
+            SolverConfig(method="bogus")
 
     def test_disconnected_thermal_state_is_stationary(self):
         sys = make_ssh_system(epsilon=0.0)
@@ -296,13 +338,14 @@ class TestSteadyState:
     def test_oracle_at_flux_pi(self, cells, ring, gate):
         # caged states leave the generator singular at kappa = 0: the oracle
         # returns the minimal-norm steady state, as the Sylvester guard does,
-        # and says that L is singular
+        # and says that L is singular; each method's warning names the solve's caller
         leads = RingLead(size=ring, mu=0.3, beta=5.0), RingLead(size=ring, mu=-0.1, beta=5.0)
         sys = assemble_composite(build_rhombic(cells, 1.0, math.pi, gate=gate), *leads, 0.2)
-        with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free"):
+        with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free") as dark:
             syl, _ = solve_steady_state(sys, 0.0)
-        with pytest.warns(DegenerateSteadyStateWarning, match="generator is singular"):
+        with pytest.warns(DegenerateSteadyStateWarning, match="generator is singular") as singular:
             full, diag = solve_steady_state(sys, 0.0, FULL)
+        assert {w.filename for w in [*dark, *singular]} == {__file__}
         assert diag.converged
         validate_spdm(full)
         assert np.abs(full - syl).max() <= 1e-10
@@ -735,7 +778,8 @@ class TestBondCommutator:
     def test_commutator_over_bonds(self, name):
         # against the commutator as two dense products, for a matrix that is
         # not Hermitian (as propagate's Runge-Kutta stages are not) and for
-        # one that is (as the solvers' states are)
+        # one that is (as the solvers' states are); and on the solved state,
+        # one routine with the solve's residual, which it matches bit for bit
         if name.startswith("fig"):
             sys = parse_config((CONFIGS / f"{name}.json").read_text()).build_system()
         else:
@@ -753,6 +797,12 @@ class TestBondCommutator:
             dense[latt, latt] += kappa * m[latt, latt]
             out = apply_liouvillian(sys, m, kappa)
             assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+        for kappa in (0.0, 0.01):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSteadyStateWarning)
+                rho, diag = solve_steady_state(sys, kappa)
+            scale = max(1.0, np.abs(sys.target).max())
+            assert np.abs(apply_liouvillian(sys, rho, kappa)).max() / scale == diag.residual
 
 
 class TestMirrorSector:

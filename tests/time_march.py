@@ -1,14 +1,15 @@
 """Adaptive time march of the single-particle master equation, an independent route to the steady state.
 
 The library solves for the steady state only.  The tests march the same
-equation of motion, ``master_eq._liouvillian``, over a finite time and
-compare where it settles with the solvers' states.
+equation of motion, ``apply_liouvillian``, the solve's own residual form
+applied to the Hermitian and anti-Hermitian parts of each stage, over a
+finite time and compare where it settles with the solvers' states.
 """
 
 import numpy as np
 
 from edgesense.leads import CompositeSystem
-from edgesense.master_eq import SolverError, _liouvillian
+from edgesense.master_eq import SolverError, apply_liouvillian
 
 # Cash-Karp embedded Runge-Kutta 5(4) tableau
 _CK_A = (
@@ -49,7 +50,6 @@ def propagate(
     if t_final == 0:
         return m
 
-    rhs = _liouvillian(sys, kappa)
     t = 0.0
     dt = min(dt, t_final)
     dt_floor = 1e-13 * max(1.0, t_final)
@@ -61,7 +61,7 @@ def propagate(
             stage = m
             if row:
                 stage = m + dt * sum(a * ki for a, ki in zip(row, k))
-            k.append(rhs(stage))
+            k.append(apply_liouvillian(sys, stage, kappa))
         m5 = m + dt * sum(b * ki for b, ki in zip(_CK_B5, k))
         m4 = m + dt * sum(b * ki for b, ki in zip(_CK_B4, k))
         err = float(np.abs(m5 - m4).max())
