@@ -298,7 +298,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         _emit_error("input", str(err))
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

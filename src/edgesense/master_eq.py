@@ -228,43 +228,46 @@ def apply_liouvillian(sys: CompositeSystem, rho: np.ndarray, kappa: float) -> np
     y = (rho - rho^dag)/(2i), both Hermitian bit for bit,
     L(rho) = L(x) + i (L(y) - drive), each term the solve's own equation of
     motion (``_motion``): exact for any rho, and for a Hermitian rho, where
-    y = 0, that equation bit for bit.
+    y = 0, that equation bit for bit.  x and y go through one gather, as
+    one stack.
     """
     _check_kappa(kappa)
     rho = np.asarray(rho, dtype=complex)
-    ws = _Workspace(sys.size, 0)
-    out = _motion(sys, 0.5 * (rho + np.conjugate(rho.T)), kappa, ws).copy()
-    out += 1j * (_motion(sys, -0.5j * (rho - np.conjugate(rho.T)), kappa, ws) - sys.drive)
-    return out
+    rho_dag = np.conjugate(rho.T)
+    parts = np.stack([0.5 * (rho + rho_dag), -0.5j * (rho - rho_dag)])
+    x, y = _motion(sys, parts, kappa, np.empty_like(parts), np.empty_like(parts))
+    x += 1j * (y - sys.drive)
+    return x
 
 
-def _motion(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> np.ndarray:
-    """d m/dt = drive - A m - m A^dag + kappa diag_lattice(m), in ws.scratch, for an m that is Hermitian bit for bit.
+def _motion(sys: CompositeSystem, m: np.ndarray, kappa: float, out: np.ndarray,
+            p: np.ndarray) -> np.ndarray:
+    """d m/dt = drive - A m - m A^dag + kappa diag_lattice(m), in out, for an m that is Hermitian bit for bit.
 
     Then m A^dag = (A m)^dag, so one row gather over A's rows (``_bonds``)
     gives both products: d m/dt = drive - (p + p^dag) + kappa diag_lattice(m)
-    with p = A m, in ws.product.  It reads h_total and m, and ws's two
-    N x N arrays only after it has written them.
+    with p = A m.  m may be a stack of N x N matrices, each taken alone,
+    and out and p are arrays of its shape.  It reads h_total and m, and
+    out and p only after it has written them.
     """
     idx, amp, diag = _bonds(sys, kappa)
-    p = np.multiply(diag[:, None], m, out=ws.product)
-    out = ws.scratch
+    np.multiply(diag[:, None], m, out=p)
     for k in range(idx.shape[1]):
         # mode="clip" gathers straight into out; the default mode gathers into a copy first
-        np.take(m, idx[:, k], axis=0, out=out, mode="clip")
+        np.take(m, idx[:, k], axis=-2, out=out, mode="clip")
         out *= amp[:, k, None]
         p += out
-    np.conjugate(p.T, out=out)
+    np.conjugate(np.swapaxes(p, -1, -2), out=out)
     out += p
     np.subtract(sys.drive, out, out=out)
     latt = np.flatnonzero(sys.lattice_mask)
-    out[latt, latt] += kappa * m[latt, latt]
+    out[..., latt, latt] += kappa * m[..., latt, latt]
     return out
 
 
 def _residual(sys: CompositeSystem, m: np.ndarray, kappa: float, ws: _Workspace) -> float:
     """|d m/dt|_inf over max(1, |target|_inf), for an m that is Hermitian bit for bit (``_motion``)."""
-    out = _motion(sys, m, kappa, ws)
+    out = _motion(sys, m, kappa, ws.scratch, ws.product)
     # A m is spent: the real part of its array takes |out|
     return float(np.abs(out, out=ws.product.real).max()) / _residual_scale(sys)
 

@@ -1,4 +1,7 @@
-"""Shared builders for the small composite systems used across the suite."""
+"""Shared builders for the small composite systems used across the suite, and a fresh interpreter's environment."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,15 @@ from edgesense.lattice import build_ssh
 from edgesense.leads import RingLead, assemble_composite
 
 MU_BIAS = np.pi / 40
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**thread_vars: str) -> dict[str, str]:
+    """The environment of a fresh interpreter on this checkout's src, with only the given thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **thread_vars}
 
 
 def make_ssh_system(

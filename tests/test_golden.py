@@ -15,6 +15,10 @@ holds it.  ``tests/golden/<config>/`` holds what they wrote:
   1.48 decades) and the warnings it raised, with the output directory
   written as ``<out>``.
 
+``test_shipped_entry_point`` runs ``spectrum`` and ``steady`` on fig1 the
+way a user does, as fresh ``python -m edgesense`` processes with no thread
+variable set, and holds them to the same goldens by the same comparison.
+
 Text and integer cells (an integer column is one whose golden cells are
 all integers) must match exactly, and numeric cells to RTOL relative.
 TOLERANCES names the only looser ones, each with its reason, and the
@@ -37,6 +41,8 @@ import json
 import math
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -44,6 +50,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from edgesense import cli
 from edgesense.master_eq import _one_blas_thread
 
@@ -109,11 +116,16 @@ def run_corpus(fig: str, out: Path) -> dict:
             raised = [f"{w.category.__name__}: {w.message} ({Path(w.filename).name})" for w in caught]
             results[command] = {
                 "exit": code,
-                "stdout": re.sub(r",? ?wall=[\d.]+s", "", stdout.getvalue()).replace(str(out), "<out>"),
-                "stderr": stderr.getvalue().replace(str(out), "<out>"),
+                "stdout": normalize(stdout.getvalue(), out),
+                "stderr": normalize(stderr.getvalue(), out),
                 "warnings": list(dict.fromkeys(raised)),
             }
     return results
+
+
+def normalize(text: str, out: Path) -> str:
+    """A command's stdout or stderr without its wall time, its output directory written as <out>."""
+    return re.sub(r",? ?wall=[\d.]+s", "", text).replace(str(out), "<out>")
 
 
 def tolerance(fig: str, artifact: str, column: str) -> tuple[float, float]:
@@ -231,17 +243,48 @@ def golden_files(fig: str) -> list[str]:
     return sorted(names - {"commands.json", "spdm.npz"})
 
 
+def command_problems(fig: str, command: str, got: dict) -> list[str]:
+    """Where one command's results differ from its golden; warnings only where got records them."""
+    want = json.loads((GOLDEN / fig / "commands.json").read_text())[command]
+    problems = [f"{key}: {got[key]!r}, golden {want[key]!r}" for key in ("exit", "warnings")
+                if key in got and got[key] != want[key]]
+    for stream in ("stdout", "stderr"):
+        problems += [f"{stream} {p}" for p in
+                     diff_text(want[stream], got[stream], lambda name: tolerance(fig, command, name))]
+    return problems
+
+
+def artifact_problems(fig: str, artifact: str, out: Path) -> list[str]:
+    """Where the artifact written in out differs from its golden."""
+    golden, got = GOLDEN / fig / artifact, out / artifact
+    tol = lambda name: tolerance(fig, artifact, name)  # noqa: E731
+    if golden.suffix == ".csv":
+        return diff_csv(golden.read_text(), got.read_text(), tol)
+    return diff_json(json.loads(golden.read_text()), load_json(got), tol)
+
+
+def spdm_problems(fig: str, out: Path) -> list[str]:
+    """How the spdm.npy written in out differs from its golden, if it does."""
+    got = np.load(out / "spdm.npy")
+    with np.load(GOLDEN / fig / "spdm.npz") as golden:
+        n, upper = int(golden["n"]), golden["upper"]
+    if got.shape != (n, n) or got.dtype != np.complex128:
+        return [f"spdm.npy: {got.shape} {got.dtype}, golden {(n, n)} complex128"]
+    want = np.zeros((n, n), dtype=complex)
+    want[np.triu_indices(n)] = upper
+    want += np.triu(want, 1).conj().T
+    err = np.abs(got - want).max()
+    return [] if err <= SPDM_TOL * np.abs(want).max() else [f"spdm.npy: off by {err:.3g}"]
+
+
 @pytest.mark.parametrize("fig", list(CORPUS))
 def test_commands(fig, corpus):
     _, results = corpus(fig)
     golden = json.loads((GOLDEN / fig / "commands.json").read_text())
     assert list(results) == list(golden)
-    for command, want in golden.items():
-        got = results[command]
-        assert (got["exit"], got["warnings"]) == (want["exit"], want["warnings"]), command
-        for stream in ("stdout", "stderr"):
-            problems = diff_text(want[stream], got[stream], lambda name: tolerance(fig, command, name))
-            assert not problems, f"{command} {stream}: {problems[:5]}"
+    for command, got in results.items():
+        problems = command_problems(fig, command, got)
+        assert not problems, f"{command}: {problems[:5]}"
 
 
 @pytest.mark.parametrize("fig", list(CORPUS))
@@ -256,26 +299,36 @@ def test_every_artifact_has_a_golden(fig, corpus):
 )
 def test_artifact(fig, artifact, corpus):
     out, _ = corpus(fig)
-    golden, got = GOLDEN / fig / artifact, out / artifact
-    tol = lambda name: tolerance(fig, artifact, name)  # noqa: E731
-    if golden.suffix == ".csv":
-        problems = diff_csv(golden.read_text(), got.read_text(), tol)
-    else:
-        problems = diff_json(json.loads(golden.read_text()), load_json(got), tol)
+    problems = artifact_problems(fig, artifact, out)
     assert not problems, problems[:5]
 
 
 @pytest.mark.parametrize("fig", list(CORPUS))
 def test_spdm(fig, corpus):
     out, _ = corpus(fig)
-    got = np.load(out / "spdm.npy")
-    with np.load(GOLDEN / fig / "spdm.npz") as golden:
-        n, upper = int(golden["n"]), golden["upper"]
-    assert got.shape == (n, n) and got.dtype == np.complex128
-    want = np.zeros((n, n), dtype=complex)
-    want[np.triu_indices(n)] = upper
-    want += np.triu(want, 1).conj().T
-    assert np.abs(got - want).max() <= SPDM_TOL * np.abs(want).max()
+    problems = spdm_problems(fig, out)
+    assert not problems, problems
+
+
+def test_shipped_entry_point(tmp_path):
+    # the command as installed: fresh `python -m edgesense` processes, which
+    # start OpenBLAS themselves, with no thread variable from the caller
+    problems = []
+    for command in ("spectrum", "steady"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgesense", command, "--config", str(ROOT / "configs" / "fig1.json"),
+             "--out", str(tmp_path)],
+            env=child_env(), capture_output=True, text=True,
+        )
+        got = {"exit": proc.returncode, "stdout": normalize(proc.stdout, tmp_path),
+               "stderr": normalize(proc.stderr, tmp_path)}
+        problems += [f"{command} {p}" for p in command_problems("fig1", command, got)]
+    artifacts = ["populations.csv", "profile.csv", "spectrum.csv", "steady_state.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts + ["spdm.npy"])
+    for artifact in artifacts:
+        problems += artifact_problems("fig1", artifact, tmp_path)
+    problems += spdm_problems("fig1", tmp_path)
+    assert not problems, problems[:5]
 
 
 if __name__ == "__main__":
