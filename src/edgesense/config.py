@@ -11,7 +11,6 @@ the runs they describe do.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import sys
@@ -19,6 +18,17 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable
 
 import numpy as np
+
+# The interpreter's own SHA-256 gives hashlib's digest, and importing it
+# maps no OpenSSL: hashlib loads libcrypto, 3.3 MB resident, for this one
+# fingerprint.  hashlib is the fallback where neither module is built.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .lattice import RHOMBIC_TERMINATIONS, Lattice, build_rhombic, build_ssh
 from .leads import MIN_RING_SIZE, CompositeSystem, RingLead, assemble_composite
@@ -212,7 +222,7 @@ class RunConfig:
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON form, defaults included."""
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
 
 _SECTIONS = {

@@ -531,7 +531,9 @@ class _Sectors:
     real, at gate 0, and only a solve there uses them.  ``idle`` holds the
     workspaces (``_Workspace``) of the solves on these blocks that have
     finished, at most one per solve that ran at the same time: a solve pops
-    one or makes a fresh one, and returns it after its residual.  The list
+    one or makes a fresh one (``_new_workspace``), and returns it after its
+    residual; a pooled sweep puts one per worker there before its pool
+    starts, so its rows make none.  The list
     is the one part that changes after the build; ``list.pop`` and
     ``list.append`` are atomic, so the rows of a pooled sweep share the
     structure, and each running row holds its own workspace.
@@ -568,6 +570,11 @@ def _sectors(sys: CompositeSystem) -> _Sectors:
     if sys._sectors is None:
         sys._sectors = _Sectors(sys)
     return sys._sectors
+
+
+def _new_workspace(sys: CompositeSystem) -> _Workspace:
+    """A fresh workspace for a Sylvester solve on sys's blocks: N sites, the blocks' columns kept."""
+    return _Workspace(sys.size, sum(_sectors(sys).block_sizes))
 
 
 def at_gate(sys: CompositeSystem, gate: float) -> CompositeSystem:
@@ -625,7 +632,8 @@ class _SylvesterFactorization:
     I - kappa M of the dephasing self-consistency, built once at kappa > 0
     as ``shift``.  v, vinv, inv_denom and ``back``'s two N x n products live
     in the workspace ``ws``, popped from the blocks' idle list, or a fresh
-    one if that is empty; the caller may hand it back (``solve_steady_state``).
+    one (``_new_workspace``) if that is empty; the caller may hand it back
+    (``solve_steady_state``).
     """
 
     def __init__(self, sys: CompositeSystem, kappa: float):
@@ -637,7 +645,7 @@ class _SylvesterFactorization:
         try:
             self.ws = ws = sectors.idle.pop()
         except IndexError:
-            self.ws = ws = _Workspace(sys.size, sum(sectors.block_sizes))
+            self.ws = ws = _new_workspace(sys)
         self.v, self.vinv = ws.v, ws.vinv
         lams, eig_blocks, start = [], [], 0
         for col_s, w_s, b_s, lat_s in sectors.blocks:

@@ -23,7 +23,9 @@ from conftest import child_env
 from edgesense import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "edgesense"}
+# the built-in SHA-256 modules of every supported Python: 3.11's
+# stdlib_module_names lists _sha256 but not 3.12's _sha2
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "edgesense", "_sha2", "_sha256"}
 
 
 def test_declared_dependencies_are_numpy_only():
@@ -51,7 +53,7 @@ def test_package_imports_stdlib_and_numpy_only():
 
 
 # Runs in a fresh interpreter: the CLI's import, a steady solve and a serial
-# sweep, then prints the pool and logging modules that got loaded.
+# sweep, then prints the pool, logging and OpenSSL hash modules that got loaded.
 SERIAL_RUN = """
 import json, sys
 from edgesense.cli import main
@@ -60,7 +62,7 @@ raw = {"lattice": {"kind": "ssh", "L": 4}, "leads": {"M": 8},
 open("cfg.json", "w").write(json.dumps(raw))
 assert main(["steady", "--config", "cfg.json", "--out", "o"]) == 0
 assert main(["sweep-gate", "--config", "cfg.json", "--out", "o"]) == 0
-print(json.dumps(sorted({"concurrent.futures", "logging"} & set(sys.modules))))
+print(json.dumps(sorted({"concurrent.futures", "logging", "hashlib", "_hashlib"} & set(sys.modules))))
 """
 
 

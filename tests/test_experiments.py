@@ -455,6 +455,15 @@ class TestSweepWorkspaces:
         deltas = np.linspace(-0.2, 0.2, 16)
         expected = table_bytes(sweep_gate(small_cfg(), deltas, kappa=1e-3))
         handed = track_workspaces(monkeypatch)
+        # the thread that makes each workspace: a worker's would stay in its malloc arena
+        makers = []
+        make = master_eq._Workspace.__init__
+
+        def workspace(self, n_sites, n_kept):
+            makers.append(threading.get_ident())
+            make(self, n_sites, n_kept)
+
+        monkeypatch.setattr(master_eq._Workspace, "__init__", workspace)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -464,6 +473,7 @@ class TestSweepWorkspaces:
         assert table_bytes(table) == expected
         assert len(handed) == deltas.size
         assert len({id(ws) for ws in handed}) <= 4
+        assert makers == [threading.get_ident()] * 4
 
     def test_a_row_keeps_its_matrix(self):
         # two rows derived from one system, as a sweep derives them, share its blocks

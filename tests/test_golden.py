@@ -331,5 +331,15 @@ def test_shipped_entry_point(tmp_path):
     assert not problems, problems[:5]
 
 
+def test_readme_csv_example_is_in_the_fig1_golden():
+    # the sweep CSV example in "Outputs and reproducibility" is fig1's table, verbatim
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"Sweep CSVs start with.*?```text\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    golden = (GOLDEN / "fig1" / "sweep_gate.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[:2] == golden[:2]
+    assert lines[2] in golden[2:]
+
+
 if __name__ == "__main__":
     regenerate()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -27,3 +28,19 @@ def test_solve_pieces_reports_every_piece():
             for unit in ("ms", "minflt", "sys_ms"):
                 assert case[f"{piece}_{unit}"] >= 0, (case["config"], piece, unit)
         assert case["eig_blocks"] and case["solve_over_floor"] > 0
+
+
+def test_compare_artifacts_starts_children_as_a_user_does(monkeypatch, tmp_path):
+    # a thread variable set for the tool must not reach the commands it compares
+    spec = importlib.util.spec_from_file_location("compare_artifacts", ROOT / "tools" / "compare_artifacts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    envs = []
+    monkeypatch.setattr(tool, "run", lambda argv, env, root, out: envs.append(env) or (0, ""))
+    for name in tool.THREAD_VARS:
+        monkeypatch.setenv(name, "1")
+    results = tool.run_commands(ROOT, "fig1", tmp_path / "out")
+    assert sorted(results) == ["spectrum", "steady", "sweep-gate"]
+    for env in envs:
+        assert not set(tool.THREAD_VARS) & set(env)
+        assert env["PYTHONPATH"] == str(ROOT / "src")

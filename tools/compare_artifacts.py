@@ -6,7 +6,8 @@ Usage:
 
 PARENT and CHANGE are the roots of two edgesense checkouts.  Each command
 runs in a fresh ``python -m edgesense`` process, with PYTHONPATH at that
-checkout's ``src``, OpenBLAS, OpenMP and MKL held at one thread, and on that
+checkout's ``src`` and no OpenBLAS, GotoBLAS, OpenMP or MKL thread variable
+set, so each side starts its threads as a user's command does, and on that
 checkout's own ``configs/<name>.json``: ``spectrum`` and ``steady`` on every
 config, ``sweep-gate`` or ``sweep-kappa`` as the config's sweep axis asks,
 and ``fit`` on the ``sweep_kappa.csv`` it wrote.
@@ -51,13 +52,14 @@ import numpy as np
 CONFIGS = ("fig1", "fig2", "fig3", "fig4")
 SWEEP_COMMANDS = {"delta": "sweep-gate", "kappa": "sweep-kappa"}
 MAX_CELLS = 5
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_commands(root: Path, name: str, out: Path) -> dict[str, tuple[int, str]]:
     """Run the commands on root's config ``name`` into out; {command: (exit code, stderr)}."""
     config = root / "configs" / f"{name}.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     axis = (json.loads(config.read_text()).get("sweep") or {}).get("axis")
     commands = [["spectrum"], ["steady"]]
     if axis in SWEEP_COMMANDS:
