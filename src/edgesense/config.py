@@ -150,6 +150,13 @@ class SweepSettings:
         missing = [k for k in shapes[0] if k not in given]
         if missing:
             raise ConfigError(f"sweep: {shapes[0][0]!r} needs {missing[0]!r}")
+        # the parser's bounds, before any division by the step or log of an end
+        if self.step is not None:
+            _check_bound("sweep.step", self.step)
+        if self.points is not None:
+            _check_bound("sweep.points", self.points)
+        for i, end in enumerate(self.log_range or ()):
+            _check_bound(f"sweep.log_range.{i}", end, "sweep.log_range")
         if self.range is not None:
             lo, hi = self.range
             if hi < lo:
@@ -285,10 +292,15 @@ def _value(path: str, annotation: str, value: Any, rule: str | None = None) -> A
         value = float(value)
     else:
         raise ConfigError(f"{path}: {value!r} is not a finite number")
-    bound, inclusive = _LOWER_BOUNDS.get(rule, (-math.inf, True))
-    if value < bound or (value == bound and not inclusive):
-        raise ConfigError(f"{path}: {value!r} must be {'>=' if inclusive else '>'} {bound}")
+    _check_bound(path, value, rule)
     return value
+
+
+def _check_bound(path: str, value: float, rule: str | None = None) -> None:
+    """Refuse a number below its ``_LOWER_BOUNDS`` entry (NaN too), naming path."""
+    bound, inclusive = _LOWER_BOUNDS.get(rule or path, (-math.inf, True))
+    if not (value >= bound if inclusive else value > bound):
+        raise ConfigError(f"{path}: {value!r} must be {'>=' if inclusive else '>'} {bound}")
 
 
 def parse_config_dict(raw: dict[str, Any], *, allow_reverse_bias: bool = False) -> RunConfig:

@@ -18,7 +18,6 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .master_eq import (
     SolverError,
-    SolverMethod,
     _check_gate,
     _check_kappa,
     _new_workspace,
@@ -172,12 +171,11 @@ def _run_sweep(
             # serial or single-solve process several ms of import
             from concurrent.futures import ThreadPoolExecutor
 
-            if cfg.solver.method is SolverMethod.SYLVESTER:
-                # no more rows run at once than there are workers, so no row
-                # makes a workspace: one made in a worker thread comes from
-                # that thread's malloc arena, which keeps the pages resident
-                # after the sweep frees it
-                _sectors(base).idle.extend(_new_workspace(base) for _ in range(workers))
+            # no more rows run at once than there are workers, so no row
+            # makes a workspace: one made in a worker thread comes from
+            # that thread's malloc arena, which keeps the pages resident
+            # after the sweep frees it
+            _sectors(base).idle.extend(_new_workspace(base) for _ in range(workers))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_row, range(n)))
 

@@ -9,55 +9,50 @@ N x N single-particle density matrix rho:
 
 with Delta the diagonal half-rate matrix (gamma/2 on lead indices,
 kappa/2 on lattice indices): the first two terms are -(A rho + rho A^dag)
-with the generator A = iH + Delta.  Two steady-state routes are provided:
-
-* ``SylvesterIteration`` (default): one eigendecomposition of
-  A = iH + Delta turns every solve of A X + X A^dag = S into two basis
-  rotations.  The dephasing back-feed only couples to the lattice
-  diagonal, so L(kappa) X = -S is affine in that diagonal and one small
-  linear solve over it pins X down exactly.  That one solve,
-  ``_SylvesterFactorization.apply``, takes any Hermitian source S: the
-  steady state is it applied to the drive.  A is eigendecomposed one symmetry
-  block at a time, by one rule (``_split``): an involution S x = d * x[s]
-  that permutes the sites s, up to a phase d per site, and commutes with A
-  splits it into S's +1 and -1 blocks.  Both involutions take phases: d = 1
-  on the shipped systems' ring reflection and on the SSH chains' mirror,
-  and any site gauge of the system moves into d.  The ring reflection
-  m <-> M - m drops its odd block, whose modes vanish on the contact site,
-  where that block is decoupled in its own basis: the drive does not join
-  it to the even block, the target's odd block is its steady state, and
-  every odd mode relaxes.  The whole-system mirror (lattice site
-  i <-> n - 1 - i, rings swapped) then halves what is left; on the rhombic
-  chains its d undoes the Peierls phases, which the mirror moves from
-  A_n -> B_n onto another bond.  The per-solve floor is two LAPACK
-  ``zgeev`` at 51 for fig1/fig2 (N = 140) and two at 44 for fig3/fig4
-  (N = 126).  The dephasing reduction is folded by the same mirror: it
-  builds the columns of one half of the lattice from the two blocks and
-  their cross term.
-  At gate 0 the chiral fold halves the floor where it holds: on a
-  bipartite lattice with real hoppings (up to a gauge) and no on-site
-  term, the sublattice sign c makes C x = c * conj(x) a symmetry of A, and
-  where C maps the mirror's + block onto its - block, C of each + block
-  eigenvector at lam is a - block eigenvector at conj(lam)
-  (``_chiral_fold``).  Then one ``zgeev`` at 51 serves fig1/fig2 at
-  delta = 0; fig3 (flux off pi) and fig4 (delta off 0) keep two at 44.
-  The blocks do not depend on the gate or kappa (``_Sectors``), so they
-  are found once per system, with the chiral phases, and kept on it.  A
-  sweep assembles one system and derives each row from it with
-  ``at_gate``, which carries the blocks, so a solve pays for the
-  eigendecomposition of each block, not for finding the blocks.  Each
-  block's basis composes the two pair bases and so has one nonzero per
-  site row; it is kept as that row's column and weight, and every product
-  with it (the blocks themselves, and Q_s V_s and V_s^-1 Q_s^dag in the
-  solve) is a gather.  The dephasing
-  reduction stacks several lattice columns into one product per block
-  pair.  Its linear system takes each diagonal entry from probability
-  conservation, as the escape into the leads plus the dephasing out of
-  the site, which does not cancel at large kappa.
-* ``FullLinearSolve``: one SVD least-squares solve of the vectorized
-  N^2 generator, gated to small N; where the generator is exactly
-  singular it warns and returns the minimal-norm steady state, as the
-  guard does, and it serves as an independent oracle.
+with the generator A = iH + Delta.  The steady state has one route,
+``SylvesterIteration``, the one value of ``SolverMethod``: one
+eigendecomposition of A turns every solve of A X + X A^dag = S into two
+basis rotations.  The dephasing back-feed only couples to the lattice
+diagonal, so L(kappa) X = -S is affine in that diagonal and one small
+linear solve over it pins X down exactly.  That one solve,
+``_SylvesterFactorization.apply``, takes any Hermitian source S: the
+steady state is it applied to the drive.  A is eigendecomposed one symmetry
+block at a time, by one rule (``_split``): an involution S x = d * x[s]
+that permutes the sites s, up to a phase d per site, and commutes with A
+splits it into S's +1 and -1 blocks.  Both involutions take phases: d = 1
+on the shipped systems' ring reflection and on the SSH chains' mirror,
+and any site gauge of the system moves into d.  The ring reflection
+m <-> M - m drops its odd block, whose modes vanish on the contact site,
+where that block is decoupled in its own basis: the drive does not join
+it to the even block, the target's odd block is its steady state, and
+every odd mode relaxes.  The whole-system mirror (lattice site
+i <-> n - 1 - i, rings swapped) then halves what is left; on the rhombic
+chains its d undoes the Peierls phases, which the mirror moves from
+A_n -> B_n onto another bond.  The per-solve floor is two LAPACK
+``zgeev`` at 51 for fig1/fig2 (N = 140) and two at 44 for fig3/fig4
+(N = 126).  The dephasing reduction is folded by the same mirror: it
+builds the columns of one half of the lattice from the two blocks and
+their cross term.
+At gate 0 the chiral fold halves the floor where it holds: on a
+bipartite lattice with real hoppings (up to a gauge) and no on-site
+term, the sublattice sign c makes C x = c * conj(x) a symmetry of A, and
+where C maps the mirror's + block onto its - block, C of each + block
+eigenvector at lam is a - block eigenvector at conj(lam)
+(``_chiral_fold``).  Then one ``zgeev`` at 51 serves fig1/fig2 at
+delta = 0; fig3 (flux off pi) and fig4 (delta off 0) keep two at 44.
+The blocks do not depend on the gate or kappa (``_Sectors``), so they
+are found once per system, with the chiral phases, and kept on it.  A
+sweep assembles one system and derives each row from it with
+``at_gate``, which carries the blocks, so a solve pays for the
+eigendecomposition of each block, not for finding the blocks.  Each
+block's basis composes the two pair bases and so has one nonzero per
+site row; it is kept as that row's column and weight, and every product
+with it (the blocks themselves, and Q_s V_s and V_s^-1 Q_s^dag in the
+solve) is a gather.  The dephasing
+reduction stacks several lattice columns into one product per block
+pair.  Its linear system takes each diagonal entry from probability
+conservation, as the escape into the leads plus the dephasing out of
+the site, which does not cancel at large kappa.
 
 The equation of motion is written once (``_motion``), over the bonds of A
 as h_total holds them at that call: it keeps nothing on the system, so
@@ -87,7 +82,6 @@ import numpy as np
 
 from .leads import CompositeSystem, IndexMap, contact_bonds
 
-FULL_LINEAR_MAX_SIZE = 40
 DENOMINATOR_GUARD = 1e-12
 # Tolerance on every condition for a symmetry split of A = iH + Delta (an
 # involution commuting with A, and the ring-odd block's decoupling),
@@ -101,7 +95,6 @@ MAP_CHUNK_BYTES = 1 << 17
 
 class SolverMethod(str, enum.Enum):
     SYLVESTER = "SylvesterIteration"
-    FULL_LINEAR = "FullLinearSolve"
 
 
 @dataclass(frozen=True)
@@ -573,7 +566,7 @@ def _sectors(sys: CompositeSystem) -> _Sectors:
 
 
 def _new_workspace(sys: CompositeSystem) -> _Workspace:
-    """A fresh workspace for a Sylvester solve on sys's blocks: N sites, the blocks' columns kept."""
+    """A fresh workspace for a solve on sys's blocks: N sites, the blocks' columns kept."""
     return _Workspace(sys.size, sum(_sectors(sys).block_sizes))
 
 
@@ -800,45 +793,6 @@ class _SylvesterFactorization:
         return k
 
 
-def build_superoperator(sys: CompositeSystem, kappa: float) -> np.ndarray:
-    """Vectorized generator L with vec(d rho/dt) = L vec(rho) + vec(drive).
-
-    Row-major vectorization, vec(A X B) = (A kron B^T) vec(X), turns
-    -(A rho + rho A^dag) into -(A kron 1 + 1 kron conj(A)); the dephasing
-    feeds kappa back on the lattice-diagonal pairs.
-    """
-    n = sys.size
-    a = 1j * sys.h_total + np.diag(_half_rates(sys, kappa))
-    eye = np.eye(n)
-    lin = -(np.kron(a, eye) + np.kron(eye, a.conj()))
-    latt = np.flatnonzero(sys.lattice_mask)
-    lin[latt * (n + 1), latt * (n + 1)] += kappa
-    return lin
-
-
-def _solve_full_linear(
-    sys: CompositeSystem, kappa: float
-) -> tuple[np.ndarray, int, list[str], tuple[int, ...]]:
-    """The least-squares rho with L vec(rho) = -vec(drive), minimal-norm where L is singular.
-
-    Where L is exactly singular (the dark sectors at kappa = 0) that is the
-    guard's convention; near such a point lstsq's rank cut and the guard's
-    denominator cut differ, and their agreement there is untested.
-    """
-    n = sys.size
-    if n > FULL_LINEAR_MAX_SIZE:
-        raise ValueError(
-            f"FullLinearSolve builds an N^2 x N^2 system and is gated to N <= {FULL_LINEAR_MAX_SIZE} (got N={n})"
-        )
-    notes: list[str] = []
-    lin = build_superoperator(sys, kappa)
-    x, _, rank, _ = np.linalg.lstsq(lin, -sys.drive.reshape(-1), rcond=None)
-    if rank < n * n:
-        notes.append("generator is singular; least-squares minimal-norm steady state returned")
-        warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=3)
-    return x.reshape(n, n), 1, notes, ()
-
-
 @functools.cache
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) thread-count functions of the loaded OpenBLAS, or None; found on first use."""
@@ -911,11 +865,11 @@ def solve_steady_state(
     """Find the stationary density matrix of the driven composite system.
 
     Returns it as the complex N x N array in ``sys.index_map`` order, with
-    the solve's diagnostics.  Raises SolverError if the method finishes
+    the solve's diagnostics.  Raises SolverError if the solve finishes
     without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
     max(1, |target|_inf)).  The solve runs OpenBLAS on one thread and
-    restores the caller's count after (``_one_blas_thread``).  A Sylvester
-    solve works in a workspace from the idle list of sys's blocks and
+    restores the caller's count after (``_one_blas_thread``).  It works in
+    a workspace from the idle list of sys's blocks and
     returns it there after the residual, converged or not, for the next
     solve on those blocks (``_Sectors.idle``); the returned array is always
     its own.
@@ -923,46 +877,39 @@ def solve_steady_state(
     cfg = cfg or SolverConfig()
     _check_kappa(kappa)
     start = time.perf_counter()
-    if contact_bonds(sys)[0].size == 0:
-        warnings.warn(
-            "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique",
-            DegenerateSteadyStateWarning,
-            stacklevel=2,
-        )
+    notes = []
     with _one_blas_thread():
-        if cfg.method is SolverMethod.SYLVESTER:
-            fact = _SylvesterFactorization(sys, kappa)
-            notes = []
-            if fact.dark_pairs.any():
-                notes.append(
-                    "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
-                )
-                warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=2)
-            m = fact.apply(sys.drive)
-            m += fact.sectors.rho_odd
-            # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
-            iters = fact.latt.size + 2 if kappa > 0 else 1
-            ws, idle, eig_blocks = fact.ws, fact.sectors.idle, fact.eig_blocks
-        else:
-            m, iters, notes, eig_blocks = _solve_full_linear(sys, kappa)
-            # a fresh workspace for the Hermitian part and the residual, pooled nowhere
-            ws, idle = _Workspace(sys.size, 0), []
-        # either method's rho is Hermitian to rounding: return, and check, its
-        # Hermitian part, which is Hermitian bit for bit, as _residual needs
-        m += np.conjugate(m.T, out=ws.scratch)
+        fact = _SylvesterFactorization(sys, kappa)
+        if fact.sectors.contacts[0].size == 0:
+            warnings.warn(
+                "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique",
+                DegenerateSteadyStateWarning,
+                stacklevel=2,
+            )
+        if fact.dark_pairs.any():
+            notes.append(
+                "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
+            )
+            warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=2)
+        m = fact.apply(sys.drive)
+        m += fact.sectors.rho_odd
+        # rho is Hermitian to rounding: return, and check, its Hermitian part,
+        # which is Hermitian bit for bit, as _residual needs
+        m += np.conjugate(m.T, out=fact.ws.scratch)
         m *= 0.5
-        res = _residual(sys, m, kappa, ws)
-        idle.append(ws)
+        res = _residual(sys, m, kappa, fact.ws)
+        fact.sectors.idle.append(fact.ws)
     wall = time.perf_counter() - start
 
     diag = SolveDiagnostics(
         method=cfg.method,
-        iterations=iters,
+        # the drive's solve, and at kappa > 0 one per unit source of M and the dephasing source's
+        iterations=fact.latt.size + 2 if kappa > 0 else 1,
         residual=res,
         wall_time=wall,
         converged=res <= cfg.residual_tol,
         warnings=notes,
-        eig_blocks=eig_blocks,
+        eig_blocks=fact.eig_blocks,
     )
     if not diag.converged:
         raise SolverError(

@@ -56,7 +56,7 @@ PINNED_FINGERPRINTS = {
     "fig3": "7ef978599239e19fc586bb22ef490a3f0354910ca927c9f05173ad2fede0d31f",
     "fig4": "7c39594f6bf09611ab42df126d647431d63402e031fbd4cf9541e31bb1ea5959",
     "integers": "1b3f6fbbdafbf1da54a844095e9c670b92e89014e0abafcaa4eb63222bb4efb9",
-    "rhombic-arm": "bd96927b432cee63966eb73145d72f8727feb76ac905010a6aea7dedbc565136",
+    "rhombic-arm": "76d0a40705d7bdc1c655dab273db7ab8c9d9ce59f7eafbac4f1a8597e154f490",
     "minimal": "cd50362f4aa3087487ae4063cef021062b46474d41e6a001f0bad17efbf30e56",
 }
 EDGE_CONFIGS = {
@@ -71,7 +71,7 @@ EDGE_CONFIGS = {
         "lattice": {"kind": "rhombic", "L": 3, "phi": 3, "termination": "arm"},
         "leads": {"beta": 2.5, "mu_L": 0.1},
         "decoherence": 0.01,
-        "solver": {"method": "FullLinearSolve", "residual_tol": 1e-10},
+        "solver": {"residual_tol": 1e-10},
         "sweep": {"axis": "kappa", "log_range": [0.001, 1], "points": 4},
     },
     "minimal": {"lattice": {"kind": "ssh"}},
@@ -123,6 +123,9 @@ REJECTIONS = {
     "choice-kind": ({"lattice": {"kind": "kagome"}}, "lattice.kind", "kagome"),
     "choice-termination": (_with("rhombic", termination="tail"), "lattice.termination", "tail"),
     "choice-method": (_with("solver", method="Magic"), "solver.method", "Magic"),
+    "choice-method-oracle": (
+        _with("solver", method="FullLinearSolve"), "solver.method", "FullLinearSolve"
+    ),
     "choice-axis": (_with("sweep", axis="mu", values=[0.0]), "sweep", "mu"),
     "choice-format": (_with("output", format="json"), "output.format", "csv"),
     "choice-beta": (_with("leads", beta="warm"), "leads.beta", "warm"),
@@ -289,6 +292,18 @@ class TestConfigParsing:
             SweepSettings("delta", range=(0.0, 1.0), step=0.4)
         with pytest.raises(ConfigError, match="upper bound below lower"):
             SweepSettings("delta", range=(1.0, -1.0), step=0.01)
+        # the parser's lower bounds, checked before the step divides the span
+        # or a log_range end is taken to a logarithm
+        bounds = [
+            ({"range": (0.0, 1.0), "step": 0.0}, "sweep.step: 0.0 must be > 0"),
+            ({"range": (0.0, 1.0), "step": -0.5}, "sweep.step: -0.5 must be > 0"),
+            ({"log_range": (0.0, 1.0), "points": 3}, "sweep.log_range.0: 0.0 must be > 0"),
+            ({"log_range": (0.1, -1.0), "points": 3}, "sweep.log_range.1: -1.0 must be > 0"),
+            ({"log_range": (0.1, 1.0), "points": 0}, "sweep.points: 0 must be >= 2"),
+        ]
+        for kwargs, message in bounds:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                SweepSettings("kappa", **kwargs)
         grid = SweepSettings("delta", range=(0.0, 1.0), step=0.25).materialize()
         assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
 
@@ -332,9 +347,17 @@ class TestConfigParsing:
             cfg = parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": method.value}})
             assert cfg.solver.method is method
 
-    def test_bad_solver_method(self):
-        with pytest.raises(ConfigError, match="solver.method"):
-            parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": "Magic"}})
+    def test_bad_solver_method(self, tmp_path, capsys):
+        for method in ("Magic", "FullLinearSolve"):
+            with pytest.raises(ConfigError, match="^solver.method"):
+                parse_config_dict({"lattice": {"kind": "ssh"}, "solver": {"method": method}})
+        # the dense oracle lives in the test suite: the command refuses its name
+        cfg = write_cfg(tmp_path, base_raw(solver={"method": "FullLinearSolve"}))
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config"
+        assert json.loads(err[0])["message"].startswith("solver.method")
         # the time march and its step controls are gone from the schema
         for solver in (
             {"method": "TimeMarch"},

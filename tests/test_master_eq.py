@@ -27,7 +27,6 @@ from edgesense.master_eq import (
     SolverMethod,
     apply_liouvillian,
     at_gate,
-    build_superoperator,
     solve_steady_state,
     spdm_to_json,
     validate_spdm,
@@ -36,10 +35,10 @@ from edgesense.master_eq import (
 from edgesense.observables import current_profile
 
 from conftest import MU_BIAS, make_ssh_system
+from oracle import build_superoperator, full_linear_solve
 from time_march import propagate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-FULL = SolverConfig(method=SolverMethod.FULL_LINEAR)
 
 
 def random_hermitian(n, seed):
@@ -222,10 +221,12 @@ class TestGenerator:
         assert build_rhombic(2.0, 1.0, math.pi).n_sites == build_rhombic(2, 1.0, math.pi).n_sites
 
     def test_solver_method_checked_on_construction(self):
-        # a method name is coerced to SolverMethod, and an unknown one is refused before any solve
-        assert SolverConfig(method="FullLinearSolve").method is SolverMethod.FULL_LINEAR
-        with pytest.raises(ValueError, match="bogus"):
-            SolverConfig(method="bogus")
+        # a method name is coerced to SolverMethod, and an unknown one, the
+        # dense oracle's former name included, is refused before any solve
+        assert SolverConfig(method="SylvesterIteration").method is SolverMethod.SYLVESTER
+        for name in ("bogus", "FullLinearSolve"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(method=name)
 
     def test_disconnected_thermal_state_is_stationary(self):
         sys = make_ssh_system(epsilon=0.0)
@@ -276,8 +277,7 @@ class TestPropagate:
         # strong contact and lead relaxation: every mode damps at >= 0.075,
         # so t=400 leaves a transient below 1e-13
         sys = make_ssh_system(gamma=0.4, epsilon=1.0)
-        cfg = SolverConfig(method=SolverMethod.FULL_LINEAR)
-        exact, _ = solve_steady_state(sys, 0.01, cfg)
+        exact = full_linear_solve(sys, 0.01)
         out = propagate(sys, sys.target.copy(), 0.01, 400.0)
         assert_allclose(out, exact, atol=1e-8)
 
@@ -293,13 +293,10 @@ class TestSteadyState:
     def test_direct_methods_agree(self, small_system):
         for kappa in (0.0, 0.002):
             syl, d1 = solve_steady_state(small_system, kappa)
-            full, d2 = solve_steady_state(
-                small_system, kappa, SolverConfig(method=SolverMethod.FULL_LINEAR)
-            )
+            full = full_linear_solve(small_system, kappa)
             assert d1.method is SolverMethod.SYLVESTER
-            assert d2.method is SolverMethod.FULL_LINEAR
-            assert d1.converged and d2.converged
-            assert d1.residual < 1e-9 and d2.residual < 1e-9
+            assert d1.converged
+            assert d1.residual < 1e-9 and oracle_residual(small_system, full, kappa) < 1e-9
             assert_allclose(syl, full, atol=1e-9)
 
     def test_time_march_unique_limit(self):
@@ -338,15 +335,15 @@ class TestSteadyState:
     def test_oracle_at_flux_pi(self, cells, ring, gate):
         # caged states leave the generator singular at kappa = 0: the oracle
         # returns the minimal-norm steady state, as the Sylvester guard does,
-        # and says that L is singular; each method's warning names the solve's caller
+        # and says that L is singular; each warning names its solve's caller
         leads = RingLead(size=ring, mu=0.3, beta=5.0), RingLead(size=ring, mu=-0.1, beta=5.0)
         sys = assemble_composite(build_rhombic(cells, 1.0, math.pi, gate=gate), *leads, 0.2)
         with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free") as dark:
             syl, _ = solve_steady_state(sys, 0.0)
         with pytest.warns(DegenerateSteadyStateWarning, match="generator is singular") as singular:
-            full, diag = solve_steady_state(sys, 0.0, FULL)
+            full = full_linear_solve(sys, 0.0)
         assert {w.filename for w in [*dark, *singular]} == {__file__}
-        assert diag.converged
+        assert oracle_residual(sys, full, 0.0) <= SolverConfig().residual_tol
         validate_spdm(full)
         assert np.abs(full - syl).max() <= 1e-10
 
@@ -373,11 +370,6 @@ class TestSteadyState:
                 solve_steady_state(cut([0, 1]), kappa)
             assert any("no bond joins the lattice" in str(w.message) for w in record)
             assert solve_quietly(cut([0]), kappa)[1].converged
-
-    def test_full_linear_size_gate(self):
-        sys = make_ssh_system(length=30, ring=8)
-        with pytest.raises(ValueError, match="gated"):
-            solve_steady_state(sys, 0.0, SolverConfig(method=SolverMethod.FULL_LINEAR))
 
     def test_solver_config_validation(self, small_system):
         with pytest.raises(ValueError):
@@ -459,6 +451,17 @@ def solve_quietly(sys, kappa, cfg=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return solve_steady_state(sys, kappa, cfg)
+
+
+def oracle_quietly(sys, kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return full_linear_solve(sys, kappa)
+
+
+def oracle_residual(sys, rho, kappa):
+    """The solve's residual measure of rho, |d rho/dt|_inf over max(1, |target|_inf)."""
+    return np.abs(apply_liouvillian(sys, rho, kappa)).max() / max(1.0, np.abs(sys.target).max())
 
 
 def random_phases(n, seed):
@@ -544,7 +547,7 @@ class TestCoupledSector:
             assert fact.v.shape == (sys.size, n_e)
             assert fact.sectors.block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
-            full, _ = solve_quietly(sys, kappa, FULL)
+            full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
             assert diag.residual < 1e-12
             assert diag.iterations == (4 + 2 if kappa > 0 else 1)
@@ -570,7 +573,7 @@ class TestCoupledSector:
         for kappa in (0.0, 0.01):
             assert _SylvesterFactorization(sys, kappa).v.shape == (sys.size, sys.size)
             rho, diag = solve_quietly(sys, kappa)
-            full, _ = solve_quietly(sys, kappa, FULL)
+            full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
             assert diag.converged
             assert diag.iterations == (4 + 2 if kappa > 0 else 1)
@@ -633,7 +636,7 @@ class TestSiteGauge:
         for kappa in (0.0, 0.01):
             assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == (7, 7)
             rho, _ = solve_quietly(sys, kappa)
-            full, _ = solve_quietly(sys, kappa, FULL)
+            full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
 
 
@@ -824,7 +827,7 @@ class TestMirrorSector:
             assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == blocks
             rho, diag = solve_quietly(sys, kappa)
             assert diag.eig_blocks == eig_blocks
-            full, _ = solve_quietly(sys, kappa, FULL)
+            full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
             assert diag.residual < 1e-12
 
@@ -1151,7 +1154,7 @@ class TestSharedSectors:
         assert err.value.diagnostics.residual > 1e-3
         fresh = build()
         fresh.h_total[1, 2] = fresh.h_total[2, 1] = -0.9
-        full, _ = solve_steady_state(fresh, 0.01, FULL)
+        full = full_linear_solve(fresh, 0.01)
         rho, _ = solve_steady_state(dataclasses.replace(sys), 0.01)
         assert np.abs(rho - full).max() <= 1e-10
 
@@ -1184,7 +1187,7 @@ class TestSharedSectors:
         for kappa in kappas:
             assert _SylvesterFactorization(sys, kappa).sectors.block_sizes == blocks
             rho, _ = solve_quietly(sys, kappa)
-            full, _ = solve_quietly(sys, kappa, FULL)
+            full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
 
 
