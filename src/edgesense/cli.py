@@ -9,6 +9,7 @@ converge, 3 I/O failure.  Errors go to stderr as one JSON line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -127,14 +128,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             "populations": [float(p) for p in pops],
             "spdm": spdm,
         },
-        "diagnostics": {
-            "method": diag.method.value,
-            "iterations": diag.iterations,
-            "residual": diag.residual,
-            "wall_time": wall,
-            "warnings": diag.warnings,
-            "eig_blocks": list(diag.eig_blocks),
-        },
+        "diagnostics": dataclasses.asdict(diag),
     }
     (out / "steady_state.json").write_text(json.dumps(payload, sort_keys=True))
 
@@ -171,10 +165,10 @@ def _run_sweep_command(args: argparse.Namespace, axis: str, command: str) -> int
 
     target = out / f"{command.replace('-', '_')}.csv"
     write_sweep_csv(table, target)
-    done = table.extra_columns["converged"]
-    n_ok = int(done.sum())
+    # a failed row keeps NaN current
+    n_ok = int(np.isfinite(table.current).sum())
     if n_ok == 0:
-        _emit_error("solver", f"no sweep row converged ({table.n_rows} attempted)")
+        _emit_error("solver", f"no sweep row met the residual target ({table.n_rows} attempted)")
         return EXIT_SOLVER
     jmax = float(np.nanmax(np.abs(table.current)))
     note = "" if n_ok == table.n_rows else f" ({table.n_rows - n_ok} rows failed)"
@@ -194,10 +188,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     payload = {
         "fingerprint": table.config_fingerprint,
-        "a": fit.a,
-        "c": fit.c,
+        **dataclasses.asdict(fit),
         "kappa_peak": fit.kappa_peak,
-        "relative_residual": fit.relative_residual,
     }
     (out / "esaki_tsu_fit.json").write_text(json.dumps(payload, sort_keys=True))
     print(

@@ -150,13 +150,10 @@ class SweepSettings:
         missing = [k for k in shapes[0] if k not in given]
         if missing:
             raise ConfigError(f"sweep: {shapes[0][0]!r} needs {missing[0]!r}")
-        # the parser's bounds, before any division by the step or log of an end
-        if self.step is not None:
-            _check_bound("sweep.step", self.step)
-        if self.points is not None:
-            _check_bound("sweep.points", self.points)
-        for i, end in enumerate(self.log_range or ()):
-            _check_bound(f"sweep.log_range.{i}", end, "sweep.log_range")
+        # the parser's own checks and casts, before any division by the step
+        # or log of an end
+        for key, value in _section("sweep", SweepSettings, self.to_dict()).items():
+            object.__setattr__(self, key, value)
         if self.range is not None:
             lo, hi = self.range
             if hi < lo:

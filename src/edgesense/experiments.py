@@ -150,19 +150,19 @@ def _run_sweep(
         _check_gate(gate)
         _check_kappa(kappa)
     workers = max(1, min(int(parallel), n))
-    # each row's solve nests in this pin, which also covers at_gate's build
+    # each row's solve nests in this pin, which also covers the sector build
     with _one_blas_thread(stacklevel=5):
-        # every row is derived from one assembled system and differs from it
-        # in the gate and kappa alone, which its sector structure leaves out:
-        # at_gate builds that structure here, once, before the pool starts,
-        # and the rows pass their workspaces on through its idle list
-        system = cfg.build_system()
-        if system.index_map.n_lattice < 2 * _EDGE_SITES:
+        # one assemble, at the first row's gate: every other row is at_gate's
+        # copy of it and shares its sector structure, which leaves out the
+        # gate and kappa.  The first row's solve builds that structure, or in
+        # a pooled sweep the workspaces made before the pool starts, and the
+        # rows pass their workspaces on through its idle list
+        base = cfg.build_system(gate=gates[0])
+        if base.index_map.n_lattice < 2 * _EDGE_SITES:
             raise ConfigError(
                 f"lattice.L: a sweep's edge imbalance needs {2 * _EDGE_SITES} lattice "
-                f"sites or more, got {system.index_map.n_lattice}"
+                f"sites or more, got {base.index_map.n_lattice}"
             )
-        base = at_gate(system, gates[0])
         if workers == 1:
             for i in range(n):
                 run_row(i)

@@ -111,11 +111,12 @@ class SolverConfig:
 
 @dataclass
 class SolveDiagnostics:
+    """What one solve reports; the CLI writes it as steady_state.json's ``diagnostics``."""
+
     method: SolverMethod
     iterations: int
     residual: float
     wall_time: float
-    converged: bool
     warnings: list[str] = field(default_factory=list)
     # sizes of the eigendecompositions the solve ran, in order
     eig_blocks: tuple[int, ...] = ()
@@ -865,14 +866,15 @@ def solve_steady_state(
     """Find the stationary density matrix of the driven composite system.
 
     Returns it as the complex N x N array in ``sys.index_map`` order, with
-    the solve's diagnostics.  Raises SolverError if the solve finishes
-    without meeting cfg.residual_tol (measured as |d rho/dt|_inf over
-    max(1, |target|_inf)).  The solve runs OpenBLAS on one thread and
-    restores the caller's count after (``_one_blas_thread``).  It works in
-    a workspace from the idle list of sys's blocks and
-    returns it there after the residual, converged or not, for the next
-    solve on those blocks (``_Sectors.idle``); the returned array is always
-    its own.
+    the solve's diagnostics, whose ``warnings`` hold every warning the
+    solve raised.  Raises SolverError, carrying the diagnostics, if the
+    solve finishes without meeting cfg.residual_tol (measured as
+    |d rho/dt|_inf over max(1, |target|_inf)).  The solve runs OpenBLAS on
+    one thread and restores the caller's count after
+    (``_one_blas_thread``).  It works in a workspace from the idle list of
+    sys's blocks and returns it there after the residual, whether or not
+    the target was met, for the next solve on those blocks
+    (``_Sectors.idle``); the returned array is always its own.
     """
     cfg = cfg or SolverConfig()
     _check_kappa(kappa)
@@ -881,16 +883,15 @@ def solve_steady_state(
     with _one_blas_thread():
         fact = _SylvesterFactorization(sys, kappa)
         if fact.sectors.contacts[0].size == 0:
-            warnings.warn(
-                "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique",
-                DegenerateSteadyStateWarning,
-                stacklevel=2,
+            notes.append(
+                "no bond joins the lattice to the leads (as at epsilon=0); the steady state is not unique"
             )
         if fact.dark_pairs.any():
             notes.append(
                 "degenerate dissipation-free sector detected; returning the minimal-norm steady state"
             )
-            warnings.warn(notes[-1], DegenerateSteadyStateWarning, stacklevel=2)
+        for note in notes:
+            warnings.warn(note, DegenerateSteadyStateWarning, stacklevel=2)
         m = fact.apply(sys.drive)
         m += fact.sectors.rho_odd
         # rho is Hermitian to rounding: return, and check, its Hermitian part,
@@ -907,11 +908,10 @@ def solve_steady_state(
         iterations=fact.latt.size + 2 if kappa > 0 else 1,
         residual=res,
         wall_time=wall,
-        converged=res <= cfg.residual_tol,
         warnings=notes,
         eig_blocks=fact.eig_blocks,
     )
-    if not diag.converged:
+    if not res <= cfg.residual_tol:
         raise SolverError(
             f"{cfg.method.value} finished with residual {res:.3e} > {cfg.residual_tol:.1e}",
             diag,

@@ -292,18 +292,24 @@ class TestConfigParsing:
             SweepSettings("delta", range=(0.0, 1.0), step=0.4)
         with pytest.raises(ConfigError, match="upper bound below lower"):
             SweepSettings("delta", range=(1.0, -1.0), step=0.01)
-        # the parser's lower bounds, checked before the step divides the span
-        # or a log_range end is taken to a logarithm
-        bounds = [
+        # the parser's own checks (type, finiteness, choice and lower bound),
+        # made before the step divides the span or a log_range end is taken
+        # to a logarithm
+        checks = [
             ({"range": (0.0, 1.0), "step": 0.0}, "sweep.step: 0.0 must be > 0"),
             ({"range": (0.0, 1.0), "step": -0.5}, "sweep.step: -0.5 must be > 0"),
             ({"log_range": (0.0, 1.0), "points": 3}, "sweep.log_range.0: 0.0 must be > 0"),
             ({"log_range": (0.1, -1.0), "points": 3}, "sweep.log_range.1: -1.0 must be > 0"),
             ({"log_range": (0.1, 1.0), "points": 0}, "sweep.points: 0 must be >= 2"),
+            ({"values": (0.0, math.nan)}, "sweep.values.1: nan is not a finite number"),
+            ({"values": ()}, "sweep.values: [] is not a list of one or more numbers"),
+            ({"log_range": (0.1, math.inf), "points": 3}, "sweep.log_range.1: inf is not a finite number"),
+            ({"log_range": (0.1, 1.0), "points": 2.5}, "sweep.points: 2.5 is not an integer"),
+            ({"axis": "mu", "values": (0.0,)}, "sweep.axis: 'mu' is not one of ['delta', 'kappa']"),
         ]
-        for kwargs, message in bounds:
+        for kwargs, message in checks:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                SweepSettings("kappa", **kwargs)
+                SweepSettings(**{"axis": "kappa", **kwargs})
         grid = SweepSettings("delta", range=(0.0, 1.0), step=0.25).materialize()
         assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
 
@@ -791,12 +797,16 @@ class TestCli:
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # a target below round-off cannot be met
-        raw = base_raw(solver={"residual_tol": 1e-30})
+        raw = base_raw(solver={"residual_tol": 1e-30}, sweep={"axis": "delta", "values": [0.0, 0.1]})
         cfg = write_cfg(tmp_path, raw)
         assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "solver"
         assert "residual" in err["detail"]
+        # a sweep fails as a whole only where no row met the target
+        assert main(["sweep-gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "solver", "message": "no sweep row met the residual target (2 attempted)"}
 
     def test_override_changes_fingerprint(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lattice": {"kind": "ssh", "L": 8}})

@@ -295,7 +295,6 @@ class TestSteadyState:
             syl, d1 = solve_steady_state(small_system, kappa)
             full = full_linear_solve(small_system, kappa)
             assert d1.method is SolverMethod.SYLVESTER
-            assert d1.converged
             assert d1.residual < 1e-9 and oracle_residual(small_system, full, kappa) < 1e-9
             assert_allclose(syl, full, atol=1e-9)
 
@@ -323,7 +322,6 @@ class TestSteadyState:
         sys = assemble_composite(lat, RingLead(size=12, mu=0.1), RingLead(size=12, mu=-0.1), 0.2)
         with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free"):
             rho, diag = solve_steady_state(sys, 0.0)
-        assert diag.converged
         assert diag.residual < 1e-9
         validate_spdm(rho, tol=1e-6)
 
@@ -367,9 +365,11 @@ class TestSteadyState:
 
         for kappa in (0.0, 0.01):
             with pytest.warns(DegenerateSteadyStateWarning) as record:
-                solve_steady_state(cut([0, 1]), kappa)
+                _, diag = solve_steady_state(cut([0, 1]), kappa)
             assert any("no bond joins the lattice" in str(w.message) for w in record)
-            assert solve_quietly(cut([0]), kappa)[1].converged
+            # the report holds every warning the solve raised, in order
+            assert diag.warnings == [str(w.message) for w in record]
+            solve_quietly(cut([0]), kappa)
 
     def test_solver_config_validation(self, small_system):
         with pytest.raises(ValueError):
@@ -388,7 +388,6 @@ class TestSteadyState:
             solve_steady_state(small_system, 0.0, cfg)
         diag = err.value.diagnostics
         assert diag is not None
-        assert not diag.converged
         assert diag.residual > 1e-30
         assert diag.method is SolverMethod.SYLVESTER
 
@@ -398,7 +397,6 @@ class TestSteadyState:
         build, kappa = CORNERS[corner]
         cfg = SolverConfig()
         _, diag = solve_steady_state(build(), kappa, cfg)
-        assert diag.converged
         assert diag.residual <= cfg.residual_tol
 
     def test_steady_state_linear_in_drive(self, small_system):
@@ -575,7 +573,6 @@ class TestCoupledSector:
             rho, diag = solve_quietly(sys, kappa)
             full = oracle_quietly(sys, kappa)
             assert_allclose(rho, full, atol=1e-10)
-            assert diag.converged
             assert diag.iterations == (4 + 2 if kappa > 0 else 1)
 
     def test_undamped_odd_modes_stay_in_full_basis(self):
@@ -593,8 +590,7 @@ class TestCoupledSector:
         assert fact.v.shape == (sys.size, sys.size)
         assert fact.dark_pairs.any()
         with pytest.warns(DegenerateSteadyStateWarning, match="dissipation-free"):
-            _, diag = solve_steady_state(sys, 0.01)
-        assert diag.converged
+            solve_steady_state(sys, 0.01)
 
     @pytest.mark.parametrize("fig, n_lattice, coupled", [("fig1", 60, 102), ("fig3", 46, 88)])
     def test_shipped_sector_sizes(self, fig, n_lattice, coupled):

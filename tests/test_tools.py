@@ -44,3 +44,23 @@ def test_compare_artifacts_starts_children_as_a_user_does(monkeypatch, tmp_path)
     for env in envs:
         assert not set(tool.THREAD_VARS) & set(env)
         assert env["PYTHONPATH"] == str(ROOT / "src")
+
+
+def test_compare_artifacts_hides_a_warnings_line_number(monkeypatch, tmp_path):
+    # an edit above the call a warning names moves its line, not what the command does
+    spec = importlib.util.spec_from_file_location("compare_artifacts", ROOT / "tools" / "compare_artifacts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    root, out = tmp_path / "root", tmp_path / "out"
+    stderr = (
+        f"{root}/src/edgesense/cli.py:112: DegenerateSteadyStateWarning: degenerate sector\n"
+        "  rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)\n"
+        f'{{"error": "io", "message": "{out}/spdm.npy"}}\n'
+    )
+    done = subprocess.CompletedProcess([], 0, stdout="", stderr=stderr)
+    monkeypatch.setattr(tool.subprocess, "run", lambda *args, **kwargs: done)
+    assert tool.run(["steady"], {}, root, out) == (0, (
+        "<root>/src/edgesense/cli.py:<line>: DegenerateSteadyStateWarning: degenerate sector\n"
+        "  rho, diag = solve_steady_state(system, cfg.decoherence, cfg.solver)\n"
+        '{"error": "io", "message": "<out>/spdm.npy"}\n'
+    ))

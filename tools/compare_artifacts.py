@@ -30,9 +30,10 @@ value is "identical" or a report of what differs:
 Each command adds "<config>/<command>": {"exit": [parent, change], "stderr":
 [parent, change]}, also where both sides exit alike, so a command that fails
 in both checkouts shows.  Each side's stderr writes its checkout root as
-``<root>`` and its output directory as ``<out>``, so a warning that names the
-source line it comes from reads alike on both sides.  The outputs go to a
-temporary directory, removed at the end.
+``<root>``, its output directory as ``<out>`` and the line number a warning
+names as ``<line>``, so a warning reads alike on both sides, also where the
+code above the line it names moved.  The outputs go to a temporary
+directory, removed at the end.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,11 +78,13 @@ def run_commands(root: Path, name: str, out: Path) -> dict[str, tuple[int, str]]
 
 
 def run(argv: list[str], env: dict[str, str], root: Path, out: Path) -> tuple[int, str]:
-    """(exit code, stderr) of one command run in out; stderr names root and out as <root>, <out>."""
+    """(exit code, stderr) of one command run in out; stderr writes <root>, <out> and <line>."""
     proc = subprocess.run(
         [sys.executable, "-m", "edgesense", *argv], env=env, cwd=out, capture_output=True, text=True
     )
-    return proc.returncode, proc.stderr.replace(str(out), "<out>").replace(str(root), "<root>")
+    stderr = proc.stderr.replace(str(out), "<out>").replace(str(root), "<root>")
+    # a warning reads "<file>.py:<n>: <category>: <message>"
+    return proc.returncode, re.sub(r"(\.py):\d+: ", r"\1:<line>: ", stderr)
 
 
 def rel(a: object, b: object) -> float | None:
